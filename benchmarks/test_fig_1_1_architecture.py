@@ -52,7 +52,7 @@ def test_fig_1_1_architecture(benchmark):
     assert any("MoveDownMapper" in tools for _dc, _r, tools in matches)
 
     # the GKBMS documented the cross-level decision
-    assert len(gkbms.decisions.order) == 1
+    assert len(gkbms.ledger) == 1
 
     print("\nFig 1-1 levels:")
     for level in ("requirements", "design", "implementation"):

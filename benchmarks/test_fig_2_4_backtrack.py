@@ -22,10 +22,7 @@ def test_fig_2_4_backtrack(benchmark):
     gkbms = scenario.gkbms
 
     # the key decision is retracted, *only* the key decision
-    statuses = {
-        did: gkbms.decisions.records[did].status
-        for did in gkbms.decisions.order
-    }
+    statuses = {record.did: record.status for record in gkbms.ledger}
     retracted = sorted(d for d, s in statuses.items() if s == "retracted")
     assert retracted == [scenario.records["keys"].did]
 

@@ -58,7 +58,7 @@ def test_fig_2_6_matching(benchmark):
     assert proc.is_instance_of(by_links[0].destination, record.tool)
 
     # outputs are justified by the decision (the ex-post documentation)
-    for name in record.all_outputs():
+    for name in record.outputs:
         justifications = proc.attributes_of(name, label="justification")
         assert [p.destination for p in justifications] == [record.did]
 

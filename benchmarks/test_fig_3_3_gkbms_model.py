@@ -45,7 +45,7 @@ def test_fig_3_3_gkbms_model(benchmark):
     # layer 3: the documented normalisation decision interrelates the
     # object instances the figure shows
     assert record.inputs == {"relation": "InvitationRel"}
-    produced = set(record.all_outputs())
+    produced = set(record.outputs)
     assert {"InvitationRel2", "InvReceivRel", "InvitationsPaperIC",
             "ConsInvitation"} <= produced
     assert proc.is_instance_of(record.did, "DecNormalize")
@@ -56,9 +56,12 @@ def test_fig_3_3_gkbms_model(benchmark):
     # the key decision may be executed manually, thus creating a proof
     # obligation" — the KeysCorrect obligation is open, dischargeable
     # by signature
-    open_names = [o.name for o in record.open_obligations()]
-    assert "KeysCorrect" in open_names
-    obligation = record.open_obligations()[0]
+    open_obligations = [
+        o for o in scenario.gkbms.decisions.obligations_of(record.did)
+        if not o.discharged
+    ]
+    assert "KeysCorrect" in [o.name for o in open_obligations]
+    obligation = open_obligations[0]
     scenario.gkbms.decisions.sign(obligation.oid, "decision maker")
     assert obligation.status == "signed"
 

@@ -71,10 +71,9 @@ def test_configuration_reflects_retraction():
     gkbms = build_history(4)
     vm = gkbms.versions()
     before = vm.configure("implementation")
-    victim = gkbms.decisions.order[-1]
-    record = gkbms.decisions.records[victim]
-    if not record.is_retracted:
-        gkbms.backtracker.retract(victim)
+    record = gkbms.ledger.records[-1]
+    if record.is_active:
+        gkbms.backtracker.retract(record.did)
     after = gkbms.versions().configure("implementation")
     assert len(after.objects) < len(before.objects)
     assert not after.complete

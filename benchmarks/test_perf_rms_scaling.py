@@ -15,8 +15,8 @@ every retraction, the partitioned RMS only touches the affected scopes
 
 import pytest
 
-from repro.core.decisions import DecisionRecord
 from repro.core.rms import DecisionRMS, PartitionedDecisionRMS
+from repro.decisions import LedgerRecord
 
 SCOPES = 8
 SIZES = [4, 16, 48]  # decisions per scope
@@ -37,12 +37,12 @@ def synthetic_history(per_scope: int):
             if step % 4 == 3 and scope > 0:
                 inputs["extra"] = f"obj_s{scope - 1}_d0"
             output = f"obj_s{scope}_d{step}"
-            records.append(DecisionRecord(
+            records.append(LedgerRecord(
                 did=f"dec_s{scope}_d{step}",
+                tick=counter,
                 decision_class=f"scope{scope}",
                 inputs=inputs,
-                outputs={"out": [output]},
-                tick=counter,
+                outputs=[output],
             ))
             previous_output = output
     return records

@@ -22,7 +22,7 @@ def main() -> None:
     scenario = MeetingScenario().run_all()
     path = os.path.join(tempfile.mkdtemp(), "meeting-gkbms.json")
     save_to_file(scenario.gkbms, path)
-    print(f"session 1: documented {len(scenario.gkbms.decisions.order)} "
+    print(f"session 1: documented {len(scenario.gkbms.ledger)} "
           f"decisions, saved to {path} "
           f"({os.path.getsize(path)} bytes)")
 
@@ -55,7 +55,7 @@ def main() -> None:
         "DecMapTransaction", {"transaction": "SendInvitation"},
         tool="TransactionMapper",
     )
-    print(f"new decision in session 2: {record.did} -> {record.outputs}")
+    print(f"new decision in session 2: {record.did} -> {record.output_roles}")
 
     config = gkbms.versions().configure("implementation")
     print(f"\nfinal configuration: {config}")

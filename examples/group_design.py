@@ -58,14 +58,14 @@ def main() -> None:
     # --- reason maintenance over the decision history ---------------------
     print("\n== flat JTMS over the decision history ==")
     flat = DecisionRMS()
-    flat.load(gkbms.decisions.records.values())
+    flat.load(gkbms.ledger.records)
     print(f"believed design objects: {len(flat.believed_objects())}")
     fell_out = flat.retract_decision(scenario.records["normalize"].did)
     print(f"retracting the normalisation takes out: {sorted(fell_out)}")
 
     print("\n== partitioned RMS (GKBMS abstraction) ==")
     partitioned = PartitionedDecisionRMS()
-    partitioned.load(gkbms.decisions.records.values())
+    partitioned.load(gkbms.ledger.records)
     print(f"partition sizes: {partitioned.partition_sizes()}")
     fell_out = partitioned.retract_decision(scenario.records["normalize"].did)
     print(f"same retraction, same consequences: {sorted(fell_out)}")

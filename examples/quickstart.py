@@ -43,7 +43,7 @@ def main() -> None:
         rationale="leaves only: Reports is the single concrete class",
     )
     print("\n== executed decision ==")
-    print(f"  {record.did}: {record.decision_class} -> {record.outputs}")
+    print(f"  {record.did}: {record.decision_class} -> {record.output_roles}")
 
     # 5. the generated DBPL code frames
     print("\n== code frames ==")
@@ -53,7 +53,7 @@ def main() -> None:
     print("\n== dependency graph ==")
     print(gkbms.dependency_graph().to_ascii())
     print("\n== explanation ==")
-    print(gkbms.explainer().explain_object(record.outputs["relations"][0]))
+    print(gkbms.explainer().explain_object(record.output_roles["relations"][0]))
 
     # 7. and the implementation actually runs
     database = gkbms.build_database()

@@ -35,14 +35,13 @@ Layout:
 """
 
 from repro.core.gkbms import GKBMS
-from repro.core.decisions import DecisionClass, DecisionRecord, Obligation
+from repro.core.decisions import DecisionClass, Obligation
 from repro.core.tools import ToolSpec
 from repro.core.metamodel import install_gkbms_metamodel
 
 __all__ = [
     "GKBMS",
     "DecisionClass",
-    "DecisionRecord",
     "Obligation",
     "ToolSpec",
     "install_gkbms_metamodel",

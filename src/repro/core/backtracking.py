@@ -6,9 +6,11 @@ of the design; supporting this consistent, selective backtracking is
 the main purpose of introducing the explicit documentation of design
 decisions and dependencies."
 
-The algorithm: compute the *consequent closure* of the target decision
-(later decisions consuming any object it produced, transitively), then
-undo the closure newest-first.  Undoing a decision removes the design
+The algorithm: take the *consequent closure* of the target decision
+from the :class:`~repro.decisions.graph.JustificationGraph` over the
+GKBMS's ledger (later decisions consuming any object it produced,
+transitively — the same function served backtracking uses), then undo
+the closure newest-first.  Undoing a decision removes the design
 objects it created from the knowledge base and (through the tool's undo
 function) from the language-level artefact stores; the decision record
 itself is kept, marked retracted — ex-post documentation survives, as
@@ -18,10 +20,11 @@ the paper's versioning story (fig 3-4) requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set
+from typing import List, Tuple
 
 from repro.errors import BacktrackError
-from repro.core.decisions import DecisionEngine, DecisionRecord
+from repro.decisions.graph import JustificationGraph
+from repro.decisions.ledger import LedgerRecord
 
 
 @dataclass
@@ -46,91 +49,69 @@ class Backtracker:
 
     def __init__(self, gkbms) -> None:
         self.gkbms = gkbms
-        self.engine: DecisionEngine = gkbms.decisions
 
     # ------------------------------------------------------------------
 
-    def consequents(self, did: str) -> List[str]:
-        """Decision ids that must fall together with ``did``, in
-        execution order (excluding ``did`` itself).
-
-        A later decision is a consequent when one of its inputs is an
-        output of ``did`` or of an already-condemned consequent.
-        """
-        if did not in self.engine.records:
-            raise BacktrackError(f"unknown decision {did!r}")
-        condemned_outputs: Set[str] = set(self.engine.records[did].all_outputs())
-        condemned: List[str] = []
-        start = self.engine.order.index(did)
-        for later_did in self.engine.order[start + 1:]:
-            record = self.engine.records[later_did]
-            if record.is_retracted:
-                continue
-            if set(record.inputs.values()) & condemned_outputs:
-                condemned.append(later_did)
-                condemned_outputs |= set(record.all_outputs())
-        return condemned
-
     def retract(self, did: str) -> BacktrackReport:
         """Selectively backtrack decision ``did`` and its consequents."""
-        target = self.engine.records.get(did)
+        ledger = self.gkbms.ledger
+        target = ledger.by_did.get(did)
         if target is None:
             raise BacktrackError(f"unknown decision {did!r}")
-        if target.is_retracted:
+        if not target.is_active:
             raise BacktrackError(f"decision {did!r} is already retracted")
-        condemned = self.consequents(did) + [did]
-        report = BacktrackReport(target=did)
+        condemned = JustificationGraph(ledger.records).consequents(did)
+        condemned.add(did)
         # newest first, so inputs of earlier condemned decisions still
         # exist while their consumers are being undone
-        for victim_did in sorted(
-            condemned, key=self.engine.order.index, reverse=True
-        ):
-            record = self.engine.records[victim_did]
-            self._undo(record, report)
-        report.retracted_decisions.reverse()
-        report.surviving_decisions = [
-            r.did for r in self.engine.active_records()
-        ]
-        return report
-
-    def _undo(self, record: DecisionRecord, report: BacktrackReport) -> None:
-        tick = self.gkbms.tick()
-        tool = self.engine.tools.get(record.tool) if record.tool else None
-        proc = self.gkbms.processor
-        # Undoing a decision is itself a transaction, exactly like
-        # executing one (section 3.2): the tool's undo, the retraction
-        # of produced objects and the record's status flip commit or
-        # roll back together.  A tool undo that mutates halfway and
-        # then raises must not leave a half-backtracked base behind a
-        # record still marked "done".
+        victims = sorted((ledger.by_did[d] for d in condemned),
+                         key=lambda r: r.tick, reverse=True)
+        report = BacktrackReport(target=did)
+        # The whole backtrack is one transaction, exactly like executing
+        # a decision (section 3.2): every victim's tool undo, the
+        # retraction of its produced objects and the status flips
+        # commit or roll back together.  A tool undo that mutates
+        # halfway and then raises must not leave a half-backtracked
+        # base behind records still marked "done".
         artefact_snapshot = self.gkbms.snapshot_artifacts()
-        retracted_pids: List[str] = []
+        retracted: List[Tuple[str, int]] = []
         try:
-            with proc.telling():
-                if tool is not None and tool.undo is not None:
-                    tool.undo(self.gkbms, record)
-                else:
-                    self._default_undo(record)
-                for name in record.all_outputs():
-                    if proc.exists(name):
-                        removed = proc.retract(name)
-                        retracted_pids.extend(p.pid for p in removed)
-                if proc.exists(record.did):
-                    proc.tell_instanceof(record.did, "RetractedDecision")
+            with self.gkbms.processor.telling():
+                for victim in victims:
+                    retracted.append((victim.did, self.gkbms.tick()))
+                    report.retracted_objects.extend(self._undo(victim))
         except Exception:
             self.gkbms.restore_artifacts(artefact_snapshot)
             raise
-        record.status = "retracted"
-        record.retracted_at = tick
-        report.retracted_objects.extend(retracted_pids)
-        report.retracted_decisions.append(record.did)
+        for victim_did, tick in retracted:
+            ledger.mark_retracted(victim_did, tick)
+        report.retracted_decisions = [d for d, _tick in reversed(retracted)]
+        report.surviving_decisions = [r.did for r in ledger.active()]
+        return report
 
-    def _default_undo(self, record: DecisionRecord) -> None:
+    def _undo(self, record: LedgerRecord) -> List[str]:
+        """Undo one decision inside the backtrack's telling; returns
+        the proposition ids retracted from the knowledge base."""
+        tool = self.gkbms.tools.get(record.tool) if record.tool else None
+        if tool is not None and tool.undo is not None:
+            tool.undo(self.gkbms, record)
+        else:
+            self._default_undo(record)
+        proc = self.gkbms.processor
+        retracted_pids: List[str] = []
+        for name in record.outputs:
+            if proc.exists(name):
+                retracted_pids.extend(p.pid for p in proc.retract(name))
+        if proc.exists(record.did):
+            proc.tell_instanceof(record.did, "RetractedDecision")
+        return retracted_pids
+
+    def _default_undo(self, record: LedgerRecord) -> None:
         """Remove produced artefacts from the language-level stores."""
         module = getattr(self.gkbms, "module", None)
         if module is None:
             return
-        for name in record.all_outputs():
+        for name in record.outputs:
             try:
                 module.remove(name)
             except Exception:
@@ -142,9 +123,10 @@ class Backtracker:
         """Backtrack every active decision resting on ``assumption`` —
         the fig 2-4 situation: mapping Minutes invalidates the 'only
         invitations are papers' assumption behind the key decision."""
+        ledger = self.gkbms.ledger
         victims = [
             record.did
-            for record in self.engine.active_records()
+            for record in ledger.active()
             if assumption in record.assumptions
         ]
         if not victims:
@@ -153,6 +135,6 @@ class Backtracker:
             )
         reports = []
         for did in victims:
-            if not self.engine.records[did].is_retracted:
+            if ledger.get(did).is_active:
                 reports.append(self.retract(did))
         return reports

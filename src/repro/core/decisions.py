@@ -22,14 +22,14 @@ decision maker."
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DecisionError, NotApplicableError, ObligationError
 from repro.assertions.evaluator import Evaluator
 from repro.assertions.parser import parse_assertion
 from repro.core.tools import ToolRegistry, ToolSpec
+from repro.decisions.ledger import LedgerRecord
 from repro.propositions.processor import PropositionProcessor
 from repro.timecalc.interval import Interval
 
@@ -97,53 +97,22 @@ class DecisionClass:
         return [r for r, _cls in self.outputs]
 
 
-@dataclass
-class DecisionRecord:
-    """One executed (documented) design decision."""
-
-    did: str
-    decision_class: str
-    inputs: Dict[str, str]
-    outputs: Dict[str, List[str]] = field(default_factory=dict)
-    params: Dict = field(default_factory=dict)
-    tool: Optional[str] = None
-    actor: str = "developer"
-    tick: int = 0
-    status: str = "done"  # done | retracted
-    obligations: List[Obligation] = field(default_factory=list)
-    assumptions: List[str] = field(default_factory=list)
-    rationale: str = ""
-    retracted_at: Optional[int] = None
-
-    @property
-    def is_retracted(self) -> bool:
-        """True after selective backtracking."""
-        return self.status == "retracted"
-
-    def all_outputs(self) -> List[str]:
-        """Every produced design object name."""
-        out: List[str] = []
-        for names in self.outputs.values():
-            out.extend(names)
-        return out
-
-    def open_obligations(self) -> List[Obligation]:
-        """Obligations not yet discharged."""
-        return [o for o in self.obligations if not o.discharged]
-
-
 class DecisionEngine:
-    """Registers decision classes, matches, executes, documents."""
+    """Registers decision classes, matches, executes, documents.
+
+    Executed decisions are appended to the GKBMS's
+    :class:`~repro.decisions.ledger.DecisionLedger`; the engine itself
+    keeps only what a record must not carry: the mutable discharge
+    status of each raised obligation, in :attr:`obligations`.
+    """
 
     def __init__(self, gkbms) -> None:
         self.gkbms = gkbms
         self.processor: PropositionProcessor = gkbms.processor
         self.tools: ToolRegistry = gkbms.tools
         self._classes: Dict[str, DecisionClass] = {}
-        self.records: Dict[str, DecisionRecord] = {}
-        self.order: List[str] = []  # execution order of decision ids
-        self._decision_ids = itertools.count(1)
-        self._obligation_ids = itertools.count(1)
+        #: oid -> obligation, for committed decisions only.
+        self.obligations: Dict[str, Obligation] = {}
 
     # ------------------------------------------------------------------
     # Registration (builds the middle layer of fig 3-3)
@@ -266,7 +235,7 @@ class DecisionEngine:
         actor: str = "developer",
         rationale: str = "",
         assumptions: Sequence[str] = (),
-    ) -> DecisionRecord:
+    ) -> LedgerRecord:
         """Execute and document one design decision.
 
         With ``tool`` given, the tool's apply function performs the
@@ -285,7 +254,7 @@ class DecisionEngine:
                 )
             tool_spec = self.tools.get(tool)
         tick = self.gkbms.tick()
-        did = f"dec{next(self._decision_ids)}"
+        did = f"dec{len(self.gkbms.ledger) + 1}"
 
         # A decision executes as a transaction (section 3.2: "the
         # decision instance defining a, possibly nested, transaction"):
@@ -316,19 +285,23 @@ class DecisionEngine:
                         f"role(s) {missing_roles}"
                     )
 
-                record = DecisionRecord(
+                record = LedgerRecord(
                     did=did,
-                    decision_class=dc.name,
-                    inputs=dict(inputs),
-                    outputs=produced,
-                    params=dict(params or {}),
-                    tool=tool,
-                    actor=actor,
                     tick=tick,
+                    decision_class=dc.name,
+                    kind=dc.kind,
+                    tool=tool,
+                    inputs=dict(inputs),
+                    outputs=[name for names in produced.values()
+                             for name in names],
                     rationale=rationale,
+                    output_roles=produced,
+                    params=dict(params or {}),
+                    actor=actor,
+                    assumptions=list(assumptions),
                 )
-                self._document(dc, record, list(assumptions))
-                self._raise_obligations(dc, record, tool_spec)
+                self._document(dc, record)
+                raised = self._raise_obligations(dc, record, tool_spec)
                 if dc.postcondition:
                     env = dict(inputs)
                     for role, names in produced.items():
@@ -346,12 +319,12 @@ class DecisionEngine:
         except Exception:
             self.gkbms.restore_artifacts(artefact_snapshot)
             raise
-        self.records[did] = record
-        self.order.append(did)
+        self.gkbms.ledger.append(record)
+        for obligation in raised:
+            self.obligations[obligation.oid] = obligation
         return record
 
-    def _document(self, dc: DecisionClass, record: DecisionRecord,
-                  assumptions: List[str]) -> None:
+    def _document(self, dc: DecisionClass, record: LedgerRecord) -> None:
         proc = self.processor
         validity = Interval.since(record.tick)
         proc.tell_individual(record.did, in_class=dc.name, time=validity)
@@ -359,7 +332,7 @@ class DecisionEngine:
             if any(r == role for r, _c in dc.inputs):
                 proc.tell_link(record.did, role, value,
                                of_class=f"{dc.name}.{role}", time=validity)
-        for role, names in record.outputs.items():
+        for role, names in record.output_roles.items():
             output_class = dict(dc.outputs).get(role)
             for name in names:
                 if not proc.exists(name):
@@ -383,38 +356,39 @@ class DecisionEngine:
                                  time=validity)
             proc.tell_link(record.did, "by", application,
                            of_class=f"{dc.name}.by.{record.tool}", time=validity)
-        for assumption in assumptions:
+        for assumption in record.assumptions:
             if not proc.exists(assumption):
                 proc.tell_individual(assumption, in_class="Assumption")
             proc.tell_link(record.did, "assumes", assumption, time=validity)
-            record.assumptions.append(assumption)
 
-    def _raise_obligations(self, dc: DecisionClass, record: DecisionRecord,
-                           tool_spec: Optional[ToolSpec]) -> None:
+    def _raise_obligations(self, dc: DecisionClass, record: LedgerRecord,
+                           tool_spec: Optional[ToolSpec]) -> List[Obligation]:
+        raised: List[Obligation] = []
         for name, assertion in dc.obligations:
-            oid = f"obl{next(self._obligation_ids)}"
+            oid = f"obl{len(self.obligations) + len(raised) + 1}"
             obligation = Obligation(oid, name, record.did, assertion)
             if tool_spec is not None and tool_spec.guarantees_obligation(name):
                 obligation.status = "guaranteed"
             else:
                 self.processor.tell_individual(oid, in_class="ProofObligation")
                 self.processor.tell_link(record.did, "obliges", oid)
-            record.obligations.append(obligation)
+            record.obligations.append(name)
+            raised.append(obligation)
+        return raised
 
     # ------------------------------------------------------------------
     # Obligation discharge
     # ------------------------------------------------------------------
 
-    def _find_obligation(self, oid: str) -> Tuple[DecisionRecord, Obligation]:
-        for record in self.records.values():
-            for obligation in record.obligations:
-                if obligation.oid == oid:
-                    return record, obligation
-        raise ObligationError(f"unknown obligation {oid!r}")
+    def _find_obligation(self, oid: str) -> Obligation:
+        obligation = self.obligations.get(oid)
+        if obligation is None:
+            raise ObligationError(f"unknown obligation {oid!r}")
+        return obligation
 
     def sign(self, oid: str, signer: str) -> Obligation:
         """Discharge by signature of the decision maker."""
-        _record, obligation = self._find_obligation(oid)
+        obligation = self._find_obligation(oid)
         if obligation.discharged:
             raise ObligationError(f"obligation {oid!r} already discharged")
         obligation.status = "signed"
@@ -423,15 +397,16 @@ class DecisionEngine:
 
     def prove(self, oid: str) -> Obligation:
         """Discharge formally: evaluate the obligation's assertion."""
-        record, obligation = self._find_obligation(oid)
+        obligation = self._find_obligation(oid)
         if obligation.discharged:
             raise ObligationError(f"obligation {oid!r} already discharged")
         if obligation.assertion is None:
             raise ObligationError(
                 f"obligation {oid!r} has no formal assertion; use sign()"
             )
+        record = self.gkbms.ledger.get(obligation.decision_id)
         env = dict(record.inputs)
-        for role, names in record.outputs.items():
+        for role, names in record.output_roles.items():
             if names:
                 env.setdefault(role, names[0])
         evaluator = Evaluator(self.processor)
@@ -443,39 +418,32 @@ class DecisionEngine:
         obligation.status = "proved"
         return obligation
 
+    def obligations_of(self, did: str) -> List[Obligation]:
+        """The obligations one decision raised, in raising order."""
+        return [o for o in self.obligations.values() if o.decision_id == did]
+
     def open_obligations(self) -> List[Obligation]:
         """Open obligations of all active decisions."""
-        out: List[Obligation] = []
-        for did in self.order:
-            record = self.records[did]
-            if not record.is_retracted:
-                out.extend(record.open_obligations())
-        return out
+        ledger = self.gkbms.ledger
+        return [
+            o for o in self.obligations.values()
+            if not o.discharged and ledger.get(o.decision_id).is_active
+        ]
 
     # ------------------------------------------------------------------
     # History access
     # ------------------------------------------------------------------
 
-    def active_records(self) -> List[DecisionRecord]:
-        """Non-retracted records in execution order."""
-        return [
-            self.records[did]
-            for did in self.order
-            if not self.records[did].is_retracted
-        ]
-
-    def producers_of(self, name: str) -> List[DecisionRecord]:
+    def producers_of(self, name: str) -> List[LedgerRecord]:
         """Decisions that produced design object ``name``."""
         return [
-            record
-            for record in self.records.values()
-            if name in record.all_outputs()
+            record for record in self.gkbms.ledger.records
+            if name in record.outputs
         ]
 
-    def consumers_of(self, name: str) -> List[DecisionRecord]:
+    def consumers_of(self, name: str) -> List[LedgerRecord]:
         """Decisions that used ``name`` as an input."""
         return [
-            record
-            for record in self.records.values()
+            record for record in self.gkbms.ledger.records
             if name in record.inputs.values()
         ]

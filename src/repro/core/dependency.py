@@ -16,25 +16,25 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.decisions import DecisionRecord
+from repro.decisions.ledger import LedgerRecord
 from repro.models.display.graph_dag import Edge, GraphDAGRenderer
 
 
 class DependencyGraph:
     """Typed dependency edges derived from decision records."""
 
-    def __init__(self, records: Iterable[DecisionRecord],
+    def __init__(self, records: Iterable[LedgerRecord],
                  include_retracted: bool = False) -> None:
         self.edges: List[Edge] = []
         self._retracted_nodes: Set[str] = set()
         for record in records:
-            if record.is_retracted and not include_retracted:
-                continue
-            if record.is_retracted:
+            if not record.is_active:
+                if not include_retracted:
+                    continue
                 self._retracted_nodes.add(record.did)
             for role, value in record.inputs.items():
                 self._add((value, role, record.did))
-            for role, names in record.outputs.items():
+            for role, names in record.output_roles.items():
                 for name in names:
                     self._add((record.did, role, name))
             if record.tool:

@@ -45,7 +45,7 @@ class Explainer:
         if not producers:
             lines.append("  told directly (no justifying decision recorded)")
         for record in producers:
-            status = " (RETRACTED)" if record.is_retracted else ""
+            status = "" if record.is_active else " (RETRACTED)"
             lines.append(
                 f"  justified by {record.did}{status}: "
                 f"{record.decision_class} at t{record.tick}"
@@ -72,7 +72,7 @@ class Explainer:
                     else ""
                 )
                 lines.append(f"    assumes {assumption}{marker}")
-            for obligation in record.obligations:
+            for obligation in self.gkbms.decisions.obligations_of(record.did):
                 detail = f" by {obligation.signer}" if obligation.signer else ""
                 lines.append(
                     f"    obligation {obligation.name}: "
@@ -82,14 +82,14 @@ class Explainer:
 
     def explain_decision(self, did: str) -> str:
         """One decision's task, I/O, tool and rationale."""
-        record = self.gkbms.decisions.records.get(did)
+        record = self.gkbms.ledger.by_did.get(did)
         if record is None:
             raise GKBMSError(f"unknown decision {did!r}")
         dc = self.gkbms.decisions.get(record.decision_class)
         lines = [
             f"{did}: execution of decision class {dc.name} "
             f"({dc.kind}) at t{record.tick}"
-            + (" — RETRACTED" if record.is_retracted else ""),
+            + ("" if record.is_active else " — RETRACTED"),
         ]
         if dc.description:
             lines.append(f"  task: {dc.description}")
@@ -97,7 +97,7 @@ class Explainer:
             lines.append(f"  precondition: {dc.precondition}")
         for role, value in sorted(record.inputs.items()):
             lines.append(f"  from {role} = {value}")
-        for role, names in sorted(record.outputs.items()):
+        for role, names in sorted(record.output_roles.items()):
             for name in names:
                 lines.append(f"  to {role} = {name}")
         if record.tool:
@@ -118,7 +118,7 @@ class Explainer:
         seen.add(name)
         lines = [f"{indent}{name}"]
         producers = self.gkbms.decisions.producers_of(name)
-        active = [r for r in producers if not r.is_retracted]
+        active = [r for r in producers if r.is_active]
         if active:
             record = active[-1]
             lines.append(
@@ -171,12 +171,12 @@ class Explainer:
 
     def why_retracted(self, did: str) -> str:
         """Explain a retraction in terms of assumptions and backtracking."""
-        record = self.gkbms.decisions.records.get(did)
+        record = self.gkbms.ledger.by_did.get(did)
         if record is None:
             raise GKBMSError(f"unknown decision {did!r}")
-        if not record.is_retracted:
+        if record.is_active:
             return f"{did} stands (not retracted)"
-        lines = [f"{did} was retracted at t{record.retracted_at}"]
+        lines = [f"{did} was retracted at t{record.retracted_tick}"]
         violated = set(self.gkbms.violated_assumptions(active_only=False))
         for assumption in record.assumptions:
             if assumption in violated:

@@ -15,7 +15,8 @@ A :class:`GKBMS` owns:
   (:attr:`design`), the DBPL module (:attr:`module`) and, on demand, an
   executable DBPL database (:meth:`build_database`);
 - the decision machinery: tool registry, decision engine, selective
-  backtracker, replayer;
+  backtracker, replayer — and the :class:`DecisionLedger` the engine
+  documents every executed decision in;
 - the derived services: dependency graphs, navigation, versioning &
   configuration, explanation — created lazily, all reading the same
   documentation.
@@ -36,6 +37,7 @@ from repro.core.metamodel import install_gkbms_metamodel, level_of
 from repro.core.replay import Replayer
 from repro.core.tools import ToolRegistry
 from repro.dbpl_engine.engine import Database
+from repro.decisions.ledger import DecisionLedger
 from repro.deduction.kb import RuleEngine
 from repro.languages.dbpl.ast import DBPLModule
 from repro.languages.taxisdl.ast import TDLModel
@@ -58,6 +60,7 @@ class GKBMS:
         self.consistency = ConsistencyChecker(self.processor)
         self.consistency.set_rule_source(self.rules.rules)
         self.tools = ToolRegistry(self.processor)
+        self.ledger = DecisionLedger()
         self.decisions = DecisionEngine(self)
         self.backtracker = Backtracker(self)
         self.replayer = Replayer(self)
@@ -275,10 +278,10 @@ class GKBMS:
         evaluator = Evaluator(self.processor)
         resting: Dict[str, bool] = {}
         used_anywhere: Dict[str, bool] = {}
-        for record in self.decisions.records.values():
+        for record in self.ledger.records:
             for assumption in record.assumptions:
                 used_anywhere[assumption] = True
-                if not record.is_retracted:
+                if record.is_active:
                     resting[assumption] = True
         violated = []
         for name, assertion in self._assumptions.items():
@@ -313,10 +316,8 @@ class GKBMS:
 
     def dependency_graph(self, include_retracted: bool = False) -> DependencyGraph:
         """The derived dependency graph (figs 2-2..2-4)."""
-        return DependencyGraph(
-            [self.decisions.records[did] for did in self.decisions.order],
-            include_retracted=include_retracted,
-        )
+        return DependencyGraph(self.ledger.records,
+                               include_retracted=include_retracted)
 
     def build_database(self, populate: bool = True) -> Database:
         """An executable database for the current module state."""

@@ -138,7 +138,7 @@ class ArgumentationBase:
         pos = self.positions.get(position)
         if pos is None:
             raise GKBMSError(f"unknown position {position!r}")
-        if decision_id not in self.gkbms.decisions.records:
+        if decision_id not in self.gkbms.ledger.by_did:
             raise GKBMSError(f"unknown decision {decision_id!r}")
         pos.resolved_by = decision_id
         self.issues[pos.issue].status = "settled"
@@ -161,8 +161,8 @@ class ArgumentationBase:
         for position in self.positions.values():
             if position.resolved_by is None:
                 continue
-            record = self.gkbms.decisions.records.get(position.resolved_by)
-            if record is not None and record.is_retracted:
+            record = self.gkbms.ledger.by_did.get(position.resolved_by)
+            if record is not None and not record.is_active:
                 position.resolved_by = None
                 issue = self.issues[position.issue]
                 if issue.status != "open":

@@ -167,6 +167,6 @@ def key_substitution_apply(gkbms, inputs: Dict[str, str], params: Dict) -> Dict[
 
 def key_substitution_undo(gkbms, record) -> None:
     """Restore every artefact revised by the key decision."""
-    for name in record.outputs.get("revised", []):
+    for name in record.output_roles.get("revised", []):
         base = name.split("~", 1)[0]
         gkbms.unrevise_artifact(base)

@@ -176,7 +176,7 @@ def normalize_apply(gkbms, inputs: Dict[str, str], params: Dict) -> Dict[str, Li
 def normalize_undo(gkbms, record) -> None:
     """Drop the normalisation products, restore the original relation
     and un-revise the constructors that had been re-pointed."""
-    for name in record.all_outputs():
+    for name in record.outputs:
         if "~" in name:
             gkbms.unrevise_artifact(name.split("~", 1)[0])
         else:

@@ -164,5 +164,5 @@ def distribute_apply(gkbms, inputs: Dict[str, str], params: Dict) -> Dict[str, L
 
 def mapping_undo(gkbms, record) -> None:
     """Undo a hierarchy mapping: drop the produced artefacts."""
-    for name in record.all_outputs():
+    for name in record.outputs:
         gkbms.drop_artifact(name)

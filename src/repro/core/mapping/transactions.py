@@ -77,7 +77,7 @@ def map_transaction_apply(gkbms, inputs: Dict[str, str],
 
 def map_transaction_undo(gkbms, record) -> None:
     """Drop the generated transaction program from the module."""
-    for name in record.all_outputs():
+    for name in record.outputs:
         gkbms.drop_artifact(name)
 
 

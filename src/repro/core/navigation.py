@@ -92,7 +92,7 @@ class Navigator:
     def justification_of(self, name: str) -> Optional[str]:
         """The decision that produced (justifies) ``name``."""
         producers = self.gkbms.decisions.producers_of(name)
-        active = [r for r in producers if not r.is_retracted]
+        active = [r for r in producers if r.is_active]
         chosen = active or producers
         return chosen[-1].did if chosen else None
 
@@ -108,7 +108,7 @@ class Navigator:
             did = self.justification_of(current)
             if did is None:
                 continue
-            record = self.gkbms.decisions.records[did]
+            record = self.gkbms.ledger.get(did)
             for value in record.inputs.values():
                 pair = (did, value)
                 if pair not in seen:
@@ -122,7 +122,7 @@ class Navigator:
         graph = self.gkbms.dependency_graph()
         return sorted(
             node for node in graph.downstream(name)
-            if node not in self.gkbms.decisions.records
+            if node not in self.gkbms.ledger.by_did
         )
 
     # ------------------------------------------------------------------
@@ -132,16 +132,16 @@ class Navigator:
     def timeline(self) -> List[HistoryEvent]:
         """All documented events ordered by tick."""
         events: List[HistoryEvent] = []
-        for did in self.gkbms.decisions.order:
-            record = self.gkbms.decisions.records[did]
-            for output in record.all_outputs():
+        for record in self.gkbms.ledger.records:
+            did = record.did
+            for output in record.outputs:
                 events.append(HistoryEvent(record.tick, "created", did,
                                            record.decision_class, output))
             for value in record.inputs.values():
                 events.append(HistoryEvent(record.tick, "used", did,
                                            record.decision_class, value))
-            if record.is_retracted and record.retracted_at is not None:
-                events.append(HistoryEvent(record.retracted_at, "retracted",
+            if record.retracted_tick is not None:
+                events.append(HistoryEvent(record.retracted_tick, "retracted",
                                            did, record.decision_class, did))
         events.sort(key=lambda e: (e.tick, e.decision, e.kind))
         return events

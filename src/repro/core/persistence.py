@@ -16,12 +16,14 @@ before loading a history that references them.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 from repro.atomicio import FileIO, atomic_write_json, read_checked_json
 from repro.errors import GKBMSError
-from repro.core.decisions import DecisionRecord, Obligation
+from repro.core.decisions import Obligation
 from repro.core.gkbms import GKBMS
+from repro.decisions.ledger import DecisionLedger
 from repro.languages.dbpl.ast import (
     ConstructorDecl,
     RelationDecl,
@@ -39,7 +41,10 @@ from repro.languages.taxisdl.parser import parse_taxisdl
 from repro.languages.taxisdl.printer import print_model
 from repro.propositions.serialization import dump_processor, load_processor
 
-FORMAT_VERSION = 1
+#: 2: decisions are :meth:`LedgerRecord.to_json` dicts plus a separate
+#: obligation table.  A format-1 dump stored ``outputs`` as a
+#: role -> names dict, which a ledger record would misread.
+FORMAT_VERSION = 2
 
 
 def _decl_to_text(decl) -> str:
@@ -62,74 +67,6 @@ def _decl_from_text(text: str):
     return module.get(names[0])
 
 
-def _record_to_json(record: DecisionRecord) -> Dict[str, Any]:
-    return {
-        "did": record.did,
-        "decision_class": record.decision_class,
-        "inputs": dict(record.inputs),
-        "outputs": {k: list(v) for k, v in record.outputs.items()},
-        "params": _jsonable_params(record.params),
-        "tool": record.tool,
-        "actor": record.actor,
-        "tick": record.tick,
-        "status": record.status,
-        "retracted_at": record.retracted_at,
-        "rationale": record.rationale,
-        "assumptions": list(record.assumptions),
-        "obligations": [
-            {
-                "oid": o.oid, "name": o.name, "assertion": o.assertion,
-                "status": o.status, "signer": o.signer,
-            }
-            for o in record.obligations
-        ],
-    }
-
-
-def _jsonable_params(params: Dict) -> Dict:
-    out: Dict[str, Any] = {}
-    for key, value in params.items():
-        if isinstance(value, tuple):
-            out[key] = {"__tuple__": list(value)}
-        else:
-            out[key] = value
-    return out
-
-
-def _params_from_json(params: Dict) -> Dict:
-    out: Dict[str, Any] = {}
-    for key, value in params.items():
-        if isinstance(value, dict) and "__tuple__" in value:
-            out[key] = tuple(value["__tuple__"])
-        else:
-            out[key] = value
-    return out
-
-
-def _record_from_json(data: Dict[str, Any]) -> DecisionRecord:
-    record = DecisionRecord(
-        did=data["did"],
-        decision_class=data["decision_class"],
-        inputs=dict(data["inputs"]),
-        outputs={k: list(v) for k, v in data["outputs"].items()},
-        params=_params_from_json(data.get("params", {})),
-        tool=data.get("tool"),
-        actor=data.get("actor", "developer"),
-        tick=data["tick"],
-        status=data.get("status", "done"),
-        retracted_at=data.get("retracted_at"),
-        rationale=data.get("rationale", ""),
-        assumptions=list(data.get("assumptions", [])),
-    )
-    for item in data.get("obligations", []):
-        record.obligations.append(Obligation(
-            oid=item["oid"], name=item["name"],
-            decision_id=record.did, assertion=item.get("assertion"),
-            status=item.get("status", "open"), signer=item.get("signer"),
-        ))
-    return record
-
-
 def save_gkbms(gkbms: GKBMS) -> Dict[str, Any]:
     """Capture the full GKBMS state as a JSON-able dict."""
     return {
@@ -150,9 +87,10 @@ def save_gkbms(gkbms: GKBMS) -> Dict[str, Any]:
             name: dict(meta) for name, meta in gkbms._artifact_meta.items()
         },
         "assumptions": dict(gkbms._assumptions),
-        "decisions": [
-            _record_to_json(gkbms.decisions.records[did])
-            for did in gkbms.decisions.order
+        "decisions": [record.to_json() for record in gkbms.ledger.records],
+        "obligations": [
+            asdict(obligation)
+            for obligation in gkbms.decisions.obligations.values()
         ],
     }
 
@@ -183,34 +121,18 @@ def load_gkbms(data: Dict[str, Any],
     }
     gkbms._assumptions = dict(data.get("assumptions", {}))
     gkbms._clock = int(data.get("clock", 0))
-    max_dec = 0
-    max_obl = 0
-    for item in data.get("decisions", []):
-        record = _record_from_json(item)
-        unknown = record.decision_class not in gkbms.decisions.classes()
-        if unknown:
+    ledger = DecisionLedger.from_wire_log(data.get("decisions", []))
+    for record in ledger.records:
+        if record.decision_class not in gkbms.decisions.classes():
             raise GKBMSError(
                 f"history references unregistered decision class "
                 f"{record.decision_class!r}; register it before loading"
             )
-        gkbms.decisions.records[record.did] = record
-        gkbms.decisions.order.append(record.did)
-        if record.did.startswith("dec"):
-            try:
-                max_dec = max(max_dec, int(record.did[3:]))
-            except ValueError:
-                pass
-        for obligation in record.obligations:
-            if obligation.oid.startswith("obl"):
-                try:
-                    max_obl = max(max_obl, int(obligation.oid[3:]))
-                except ValueError:
-                    pass
-    # counters continue after the loaded history
-    import itertools
-
-    gkbms.decisions._decision_ids = itertools.count(max_dec + 1)
-    gkbms.decisions._obligation_ids = itertools.count(max_obl + 1)
+    gkbms.ledger = ledger
+    gkbms.decisions.obligations = {
+        item["oid"]: Obligation(**item)
+        for item in data.get("obligations", [])
+    }
     return gkbms
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import DecisionError, NotApplicableError
-from repro.core.decisions import DecisionEngine, DecisionRecord
+from repro.core.decisions import DecisionEngine
+from repro.decisions.ledger import LedgerRecord
 
 
 @dataclass
@@ -54,7 +55,7 @@ class Replayer:
         self.gkbms = gkbms
         self.engine: DecisionEngine = gkbms.decisions
 
-    def is_reapplicable(self, record: DecisionRecord) -> bool:
+    def is_reapplicable(self, record: LedgerRecord) -> bool:
         """Would the decision's class accept its inputs right now?"""
         try:
             dc = self.engine.get(record.decision_class)
@@ -63,7 +64,7 @@ class Replayer:
             return False
         return True
 
-    def replay(self, record: DecisionRecord,
+    def replay(self, record: LedgerRecord,
                params: Optional[Dict] = None) -> ReplayOutcome:
         """Re-execute one historical decision in the current state."""
         dc_name = record.decision_class
@@ -91,7 +92,7 @@ class Replayer:
             return ReplayOutcome(record.did, "failed", reason=str(exc))
         return ReplayOutcome(record.did, "replayed", new_decision=new_record.did)
 
-    def replay_all(self, records: Sequence[DecisionRecord],
+    def replay_all(self, records: Sequence[LedgerRecord],
                    stop_on_failure: bool = False) -> ReplayReport:
         """Replay a sequence of decisions in order."""
         report = ReplayReport()
@@ -105,9 +106,7 @@ class Replayer:
     def replay_retracted(self, since_tick: int = 0) -> ReplayReport:
         """Try to re-apply every retracted decision (oldest first)."""
         victims = [
-            self.engine.records[did]
-            for did in self.engine.order
-            if self.engine.records[did].is_retracted
-            and self.engine.records[did].tick >= since_tick
+            record for record in self.gkbms.ledger.records
+            if not record.is_active and record.tick >= since_tick
         ]
         return self.replay_all(victims)

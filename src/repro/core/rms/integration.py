@@ -15,14 +15,18 @@ Two constructions:
   network each RMS run touches, which is the whole point given that
   "current RMS can handle only fairly small dependency networks
   efficiently".
+
+Both load :class:`~repro.decisions.ledger.LedgerRecord`s, so they run
+over the in-process GKBMS's ledger and over a served
+:class:`~repro.decisions.engine.DecisionHistory` ledger alike.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from repro.core.decisions import DecisionRecord
 from repro.core.rms.jtms import JTMS
+from repro.decisions.ledger import LedgerRecord
 
 
 class DecisionRMS:
@@ -32,21 +36,21 @@ class DecisionRMS:
         self.jtms = JTMS()
         self._objects: Set[str] = set()
 
-    def load(self, records: Iterable[DecisionRecord]) -> None:
+    def load(self, records: Iterable[LedgerRecord]) -> None:
         """Encode a decision history into the JTMS."""
         for record in records:
             self.add_decision(record)
 
-    def add_decision(self, record: DecisionRecord) -> None:
+    def add_decision(self, record: LedgerRecord) -> None:
         """Encode one decision: assumption + justifications."""
         self.jtms.add_assumption(record.did)
-        if record.is_retracted:
+        if not record.is_active:
             self.jtms.retract(record.did)
         for value in set(record.inputs.values()):
             if value not in self.jtms.nodes():
                 self.jtms.add_premise(value)
         in_list = [record.did] + sorted(set(record.inputs.values()))
-        for output in record.all_outputs():
+        for output in record.outputs:
             self._objects.add(output)
             self.jtms.justify(output, in_list=in_list,
                               informant=record.decision_class)
@@ -66,7 +70,7 @@ class DecisionRMS:
         return self.jtms.is_in(name)
 
 
-def suggest_retractions(records: Iterable[DecisionRecord],
+def suggest_retractions(records: Iterable[LedgerRecord],
                         conflicting_objects: Iterable[str]) -> List[str]:
     """Dependency-directed backtracking advice (Doyle [DOYL79]).
 
@@ -106,7 +110,7 @@ class PartitionedDecisionRMS:
     actually changed.
     """
 
-    def __init__(self, scope_of: Optional[Callable[[DecisionRecord], str]] = None) -> None:
+    def __init__(self, scope_of: Optional[Callable[[LedgerRecord], str]] = None) -> None:
         self._scope_of = scope_of or (lambda record: record.decision_class)
         self.partitions: Dict[str, JTMS] = {}
         self._home: Dict[str, str] = {}  # object -> producing scope
@@ -119,18 +123,18 @@ class PartitionedDecisionRMS:
             self._imports[scope] = set()
         return self.partitions[scope]
 
-    def load(self, records: Iterable[DecisionRecord]) -> None:
+    def load(self, records: Iterable[LedgerRecord]) -> None:
         """Encode a decision history across partitions."""
         for record in records:
             self.add_decision(record)
 
-    def add_decision(self, record: DecisionRecord) -> None:
+    def add_decision(self, record: LedgerRecord) -> None:
         """Encode one decision in its scope's JTMS."""
         scope = self._scope_of(record)
         jtms = self._partition(scope)
         self._decision_scope[record.did] = scope
         jtms.add_assumption(record.did)
-        if record.is_retracted:
+        if not record.is_active:
             jtms.retract(record.did)
         for value in set(record.inputs.values()):
             home = self._home.get(value)
@@ -146,7 +150,7 @@ class PartitionedDecisionRMS:
                 if not self.partitions[home].is_in(value):
                     jtms.retract(value)
         in_list = [record.did] + sorted(set(record.inputs.values()))
-        for output in record.all_outputs():
+        for output in record.outputs:
             jtms.justify(output, in_list=in_list,
                          informant=record.decision_class)
             self._home.setdefault(output, scope)

@@ -86,16 +86,14 @@ class VersionManager:
             raise VersionError(f"unknown design object {base!r}")
         nodes: List[VersionNode] = []
         revisions = self._revisions(base)
+        ledger = self.gkbms.ledger
         active_revisions = [
             (name, did, tick) for name, did, tick in revisions
-            if did is None or not self.gkbms.decisions.records[did].is_retracted
+            if did is None or ledger.get(did).is_active
         ]
         if proc.exists(base):
             creator = self._creator(base)
-            base_tick = (
-                self.gkbms.decisions.records[creator].tick
-                if creator is not None else 0
-            )
+            base_tick = ledger.get(creator).tick if creator is not None else 0
             nodes.append(VersionNode(
                 base, base, creator, base_tick,
                 active=not active_revisions,
@@ -108,8 +106,8 @@ class VersionManager:
 
     def _revisions(self, base: str) -> List[Tuple[str, Optional[str], int]]:
         out = []
-        for record in self.gkbms.decisions.records.values():
-            for name in record.all_outputs():
+        for record in self.gkbms.ledger.records:
+            for name in record.outputs:
                 if "~" in name and self.base_of(name) == base:
                     out.append((name, record.did, record.tick))
         return sorted(out, key=lambda item: item[2])
@@ -132,9 +130,7 @@ class VersionManager:
         for node in self.versions_of(base):
             if node.decision is None:
                 continue
-            record = self.gkbms.decisions.records[node.decision]
-            dc = self.gkbms.decisions.get(record.decision_class)
-            if dc.kind == "choice":
+            if self.gkbms.ledger.get(node.decision).kind == "choice":
                 out.append(node)
         return out
 
@@ -160,13 +156,11 @@ class VersionManager:
             current = frontier.pop()
             related: Set[str] = set()
             for record in self.gkbms.decisions.producers_of(current):
-                if record.is_retracted:
-                    continue
-                related |= set(record.inputs.values())
+                if record.is_active:
+                    related |= set(record.inputs.values())
             for record in self.gkbms.decisions.consumers_of(current):
-                if record.is_retracted:
-                    continue
-                related |= set(record.all_outputs())
+                if record.is_active:
+                    related |= set(record.outputs)
             for other in related - reached:
                 reached.add(other)
                 frontier.append(other)
@@ -200,12 +194,11 @@ class VersionManager:
             # (a backtracked mapping without replacement leaves a hole)
             ever_mapped: Set[str] = set()
             actively_mapped: Set[str] = set()
-            for record in self.gkbms.decisions.records.values():
-                dc = self.gkbms.decisions.get(record.decision_class)
-                if dc.kind != "mapping":
+            for record in self.gkbms.ledger.records:
+                if record.kind != "mapping":
                     continue
                 ever_mapped |= set(record.inputs.values())
-                if not record.is_retracted:
+                if record.is_active:
                     actively_mapped |= set(record.inputs.values())
             missing.extend(ever_mapped - actively_mapped)
         open_obligations = self.gkbms.decisions.open_obligations()
@@ -236,12 +229,10 @@ class VersionManager:
         edges connect objects through decisions; ``choice`` edges
         connect a base object to its alternative versions."""
         edges: List[Tuple[str, str, str]] = []
-        for did in self.gkbms.decisions.order:
-            record = self.gkbms.decisions.records[did]
-            dc = self.gkbms.decisions.get(record.decision_class)
-            kind = dc.kind if dc.kind != "other" else "decision"
+        for record in self.gkbms.ledger.records:
+            kind = record.kind if record.kind != "other" else "decision"
             for source in record.inputs.values():
-                for target in record.all_outputs():
+                for target in record.outputs:
                     edges.append((source, kind, target))
         return edges
 

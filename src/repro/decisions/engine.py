@@ -31,8 +31,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.conceptbase import ConceptBase
 from repro.decisions.graph import JustificationGraph
-from repro.decisions.ledger import DecisionLedger, KINDS, LedgerRecord
+from repro.decisions.ledger import DecisionLedger, LedgerRecord
 from repro.errors import BacktrackError, DecisionError
+from repro.objects.frame import parse_frames
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer, get_tracer
 from repro.propositions.serialization import (
@@ -43,18 +44,18 @@ from repro.propositions.wal import WalStore
 
 
 def decide_keys(spec: Dict[str, Any]) -> List[str]:
-    """The conflict keys a decide spec writes: every object name its
-    tells define and its untells remove (first-committer-wins uses
-    these exactly like staged tell/untell keys)."""
+    """The conflict keys a decide spec writes: the names of the frames
+    its tells define (parsed exactly as a plain ``tell``'s keys are)
+    and the names its untells remove, so first-committer-wins treats
+    both alike."""
     keys: List[str] = []
     for source in spec.get("tell") or []:
-        for line in str(source).replace("\n", " ").split("TELL")[1:]:
-            name = line.strip().split()[0] if line.strip() else ""
-            if name and name not in keys:
-                keys.append(name)
+        for frame in parse_frames(source):
+            if frame.name not in keys:
+                keys.append(frame.name)
     for name in spec.get("untell") or []:
         if name not in keys:
-            keys.append(str(name))
+            keys.append(name)
     return keys
 
 
@@ -97,19 +98,10 @@ class DecisionHistory:
     # ------------------------------------------------------------------
 
     def _validate_spec(self, spec: Dict[str, Any]) -> None:
-        if not isinstance(spec.get("decision_class"), str) \
-                or not spec["decision_class"]:
-            raise DecisionError("decide needs a 'decision_class' string")
-        kind = spec.get("kind", "other")
-        if kind not in KINDS:
-            raise DecisionError(
-                f"unknown decision kind {kind!r} (choose from {KINDS})"
-            )
-        inputs = spec.get("inputs") or {}
-        if not isinstance(inputs, dict):
-            raise DecisionError("'inputs' must map roles to object names")
-        for role, name in inputs.items():
-            if not self.proc.exists(str(name)):
+        """The checks that read state; the spec's shape was checked
+        once, at the wire."""
+        for role, name in (spec.get("inputs") or {}).items():
+            if not self.proc.exists(name):
                 raise DecisionError(
                     f"input {role!r} = {name!r} does not exist"
                 )
@@ -129,9 +121,9 @@ class DecisionHistory:
             try:
                 with self.cb.transaction() as telling:
                     for source in spec.get("tell") or []:
-                        self.cb.tell(str(source))
+                        self.cb.tell(source)
                     for name in spec.get("untell") or []:
-                        self.cb.untell(str(name))
+                        self.cb.untell(name)
                     record = self._record_from_telling(did, spec,
                                                        telling.ops)
                     if durable:
@@ -178,12 +170,11 @@ class DecisionHistory:
             decision_class=spec["decision_class"],
             kind=spec.get("kind", "other"),
             tool=spec.get("tool"),
-            inputs={str(k): str(v)
-                    for k, v in (spec.get("inputs") or {}).items()},
+            inputs=dict(spec.get("inputs") or {}),
             outputs=outputs,
-            parents=[str(p) for p in spec.get("parents") or []],
-            rationale=str(spec.get("rationale", "")),
-            obligations=[str(o) for o in spec.get("obligations") or []],
+            parents=list(spec.get("parents") or []),
+            rationale=spec.get("rationale", ""),
+            obligations=list(spec.get("obligations") or []),
             told=told,
             untold=untold,
             clipped=clipped,

@@ -1,9 +1,11 @@
 """The immutable, serializable decision ledger (§2.1/§3.3).
 
-Every served design decision becomes one :class:`LedgerRecord`: the
-decision class, the tool, the input/output design objects, the *exact*
-proposition ids told, untold and clipped, the serialized delta those
-ids summarize, obligations, parent links and a logical timestamp.
+Every design decision — served or executed in process by
+:class:`~repro.core.gkbms.GKBMS` — becomes one :class:`LedgerRecord`:
+the decision class, the tool, the input/output design objects, the
+*exact* proposition ids told, untold and clipped, the serialized delta
+those ids summarize, obligations, parent links and a logical
+timestamp.
 Records are append-only — selective backtracking never removes one, it
 marks it ``retracted`` and appends a retraction event to the same WAL,
 so the full decision history (including the paths not taken) survives
@@ -44,7 +46,16 @@ class LedgerRecord:
     #: explicit BY/parent links to earlier decisions.
     parents: List[str] = field(default_factory=list)
     rationale: str = ""
+    #: obligation names (their discharge status lives with the engine
+    #: that raised them, not on the record).
     obligations: List[str] = field(default_factory=list)
+    #: in-process provenance: role -> produced names (``outputs`` is
+    #: their concatenation), tool parameters, who executed the decision
+    #: and the assumptions it rests on (fig 2-4).
+    output_roles: Dict[str, List[str]] = field(default_factory=dict)
+    params: Dict[str, Any] = field(default_factory=dict)
+    actor: str = "developer"
+    assumptions: List[str] = field(default_factory=list)
     #: exact proposition ids created / deleted / clipped.
     told: List[str] = field(default_factory=list)
     untold: List[str] = field(default_factory=list)
@@ -120,6 +131,11 @@ class LedgerRecord:
             "delta": [list(op) for op in self.delta],
             "status": self.status,
             "retracted_tick": self.retracted_tick,
+            "output_roles": {role: list(names)
+                             for role, names in self.output_roles.items()},
+            "params": _params_to_json(self.params),
+            "actor": self.actor,
+            "assumptions": list(self.assumptions),
         }
 
     @classmethod
@@ -143,16 +159,37 @@ class LedgerRecord:
             delta=[list(op) for op in data.get("delta") or []],
             status=str(data.get("status", "done")),
             retracted_tick=data.get("retracted_tick"),
+            output_roles={str(role): list(names) for role, names
+                          in (data.get("output_roles") or {}).items()},
+            params=_params_from_json(data.get("params") or {}),
+            actor=str(data.get("actor", "developer")),
+            assumptions=list(data.get("assumptions") or []),
         )
+
+
+def _params_to_json(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Tool parameters as JSON; tuples (e.g. a composite key) are
+    tagged so they come back as tuples, not lists."""
+    return {key: {"__tuple__": list(value)} if isinstance(value, tuple)
+            else value
+            for key, value in params.items()}
+
+
+def _params_from_json(params: Dict[str, Any]) -> Dict[str, Any]:
+    return {key: tuple(value["__tuple__"])
+            if isinstance(value, dict) and "__tuple__" in value else value
+            for key, value in params.items()}
 
 
 class DecisionLedger:
     """Append-only record list with deterministic ids and ticks.
 
-    ``did``s are ``d1, d2, ...`` by append order and ticks advance by
-    one per ledger event (decide or backtrack), so replaying the same
-    accepted history — from the commit log or the WAL — reproduces the
-    same ids, which is what makes the ledger itself the oracle.
+    Served ``did``s are ``d1, d2, ...`` by append order and ticks
+    advance by one per ledger event (decide or backtrack), so replaying
+    the same accepted history — from the commit log or the WAL —
+    reproduces the same ids, which is what makes the ledger itself the
+    oracle.  The in-process GKBMS appends ``dec1, dec2, ...`` ticked by
+    its own version clock.
     """
 
     def __init__(self) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.core.gkbms import GKBMS
-from repro.core.decisions import DecisionRecord
+from repro.decisions.ledger import LedgerRecord
 from repro.timecalc.allen import AllenRelation
 from repro.timecalc.calculus import AllenCalculus
 
@@ -117,7 +117,7 @@ class MeetingScenario:
     callers (tests, benches, examples) can inspect each stage."""
 
     gkbms: GKBMS = field(default_factory=GKBMS)
-    records: Dict[str, DecisionRecord] = field(default_factory=dict)
+    records: Dict[str, LedgerRecord] = field(default_factory=dict)
 
     def setup(self) -> "MeetingScenario":
         """World + system models, design import, standard library."""
@@ -137,8 +137,8 @@ class MeetingScenario:
         """Unmapped TaxisDL objects (what the text browser shows)."""
         proc = self.gkbms.processor
         mapped = set()
-        for record in self.gkbms.decisions.active_records():
-            for name in record.all_outputs():
+        for record in self.gkbms.ledger.active():
+            for name in record.outputs:
                 source = self.gkbms.mapped_from(name)
                 if source:
                     mapped.add(source)
@@ -155,7 +155,7 @@ class MeetingScenario:
     # fig 2-2: move-down
     # ------------------------------------------------------------------
 
-    def map_hierarchy(self, strategy: str = "move-down") -> DecisionRecord:
+    def map_hierarchy(self, strategy: str = "move-down") -> LedgerRecord:
         """Execute the chosen mapping strategy (fig 2-2)."""
         if strategy == "move-down":
             record = self.gkbms.execute(
@@ -179,7 +179,7 @@ class MeetingScenario:
     # fig 2-3: normalisation, then key substitution
     # ------------------------------------------------------------------
 
-    def normalize(self) -> DecisionRecord:
+    def normalize(self) -> LedgerRecord:
         """The normalisation decision of fig 2-3."""
         record = self.gkbms.execute(
             "DecNormalize", {"relation": "InvitationRel"}, tool="Normalizer",
@@ -194,7 +194,7 @@ class MeetingScenario:
         self.records["normalize"] = record
         return record
 
-    def substitute_key(self) -> DecisionRecord:
+    def substitute_key(self) -> LedgerRecord:
         """The key-substitution (choice) decision of fig 2-3."""
         self.gkbms.assume("OnlyInvitationsArePapers", ONLY_INVITATIONS)
         record = self.gkbms.execute(
@@ -224,7 +224,7 @@ class MeetingScenario:
         self.records["backtrack"] = reports  # type: ignore[assignment]
         return reports
 
-    def map_minutes(self) -> DecisionRecord:
+    def map_minutes(self) -> LedgerRecord:
         """Map the late-arriving Minutes subclass."""
         record = self.gkbms.execute(
             "DecMoveDown", {"hierarchy": "Papers"}, tool="MoveDownMapper",

@@ -164,14 +164,14 @@ class DesignEvolutionWorkload:
 
     def _do_backtrack(self, gkbms: GKBMS, rng: random.Random,
                       mapped: List[str]) -> WorkloadEvent:
-        active = [r for r in gkbms.decisions.active_records()]
+        active = gkbms.ledger.active()
         if not active:
             return WorkloadEvent("skip", "no decision to backtrack")
         victim = rng.choice(active)
         report = gkbms.backtracker.retract(victim.did)
         # a backtracked mapping frees its hierarchy for remapping
         for did in report.retracted_decisions:
-            record = gkbms.decisions.records[did]
+            record = gkbms.ledger.get(did)
             for value in record.inputs.values():
                 if value in mapped:
                     mapped.remove(value)
@@ -182,11 +182,7 @@ class DesignEvolutionWorkload:
 
     def _do_replay(self, gkbms: GKBMS, rng: random.Random,
                    mapped: List[str]) -> WorkloadEvent:
-        retracted = [
-            gkbms.decisions.records[did]
-            for did in gkbms.decisions.order
-            if gkbms.decisions.records[did].is_retracted
-        ]
+        retracted = [r for r in gkbms.ledger.records if not r.is_active]
         if not retracted:
             return WorkloadEvent("skip", "nothing to replay")
         record = rng.choice(retracted)

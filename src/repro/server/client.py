@@ -257,16 +257,17 @@ class _BaseClient:
                obligations: Optional[List[str]] = None,
                **kw: Any) -> Dict[str, Any]:
         """Record one design decision: its tells/untells apply as one
-        commit and a durable ledger record rides the same transaction."""
+        commit and a durable ledger record rides the same transaction.
+        The spec travels as given; the service checks its shape."""
         params: Dict[str, Any] = {
             "decision_class": decision_class,
             "kind": kind,
-            "tell": list(tell or []),
-            "untell": list(untell or []),
-            "inputs": dict(inputs or {}),
-            "parents": list(parents or []),
+            "tell": [] if tell is None else tell,
+            "untell": [] if untell is None else untell,
+            "inputs": {} if inputs is None else inputs,
+            "parents": [] if parents is None else parents,
             "rationale": rationale,
-            "obligations": list(obligations or []),
+            "obligations": [] if obligations is None else obligations,
         }
         if tool is not None:
             params["tool"] = tool

@@ -30,9 +30,10 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.concurrency import lockdep
 from repro.conceptbase import ConceptBase
-from repro.decisions import DecisionHistory, decide_keys
+from repro.decisions import KINDS, DecisionHistory, decide_keys
 from repro.errors import (
     CommitConflict,
+    DecisionError,
     ProtocolError,
     ReproError,
     ServerError,
@@ -405,10 +406,25 @@ class GKBMSService:
             )
         spec = {key: value for key, value in params.items()
                 if key != "token"}
-        if not isinstance(spec.get("decision_class"), str) \
-                or not spec["decision_class"].strip():
+        self._param(spec, "decision_class")
+        for name in ("tell", "untell", "parents", "obligations"):
+            value = spec.get(name, [])
+            if not isinstance(value, list) \
+                    or not all(isinstance(item, str) for item in value):
+                raise ProtocolError(f"param {name!r} must be a list of strings")
+        inputs = spec.get("inputs", {})
+        if not isinstance(inputs, dict) or not all(
+                isinstance(role, str) and isinstance(value, str)
+                for role, value in inputs.items()):
             raise ProtocolError(
-                "param 'decision_class' must be a non-empty string"
+                "param 'inputs' must map role names to object names"
+            )
+        for name in ("kind", "tool", "rationale"):
+            if name in spec and not isinstance(spec[name], str):
+                raise ProtocolError(f"param {name!r} must be a string")
+        if spec.get("kind", "other") not in KINDS:
+            raise DecisionError(
+                f"unknown decision kind {spec['kind']!r} (choose from {KINDS})"
             )
         arg = json.dumps(spec, sort_keys=True)
         return self.pipeline.submit(

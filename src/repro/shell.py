@@ -148,7 +148,7 @@ class GKBMSShell:
         record = self.gkbms.execute(decision_class, inputs, tool=tool)
         return (
             f"executed {record.did}: {decision_class} by {record.tool} "
-            f"-> {record.outputs}"
+            f"-> {record.output_roles}"
         )
 
     def _cmd_frames(self, args: List[str]) -> str:
@@ -163,7 +163,7 @@ class GKBMSShell:
             return "usage: explain <object|decision>"
         name = args[0]
         explainer = self.gkbms.explainer()
-        if name in self.gkbms.decisions.records:
+        if name in self.gkbms.ledger.by_did:
             return explainer.explain_decision(name)
         return explainer.explain_object(name)
 

@@ -69,7 +69,7 @@ class TestDistributeEndToEnd:
             "DecNormalize", {"relation": "InvitationRel"}, tool="Normalizer",
         )
         module = gkbms.module
-        base, detail = record.outputs["relations"]
+        base, detail = record.output_roles["relations"]
         assert "receiver" not in module.relations[base].field_names()
         # the isa selector followed the split
         isa_selector = module.selectors["InvitationRelIsAPapers"]

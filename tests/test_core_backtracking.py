@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.decisions import DecisionClass
 from repro.core.tools import ToolSpec
+from repro.decisions import JustificationGraph
 from repro.errors import BacktrackError
 from repro.scenario import MeetingScenario
 
@@ -57,8 +58,9 @@ class TestSelectiveBacktracking:
         map_did = fig_2_3.records["map"].did
         norm_did = fig_2_3.records["normalize"].did
         keys_did = fig_2_3.records["keys"].did
-        assert gkbms.backtracker.consequents(map_did) == [norm_did, keys_did]
-        assert gkbms.backtracker.consequents(keys_did) == []
+        graph = JustificationGraph(gkbms.ledger.records)
+        assert graph.consequents(map_did) == {norm_did, keys_did}
+        assert graph.consequents(keys_did) == set()
 
     def test_retract_keys_only_removes_keys(self, fig_2_3):
         """The fig 2-4 situation: retract the key decision without
@@ -96,9 +98,9 @@ class TestSelectiveBacktracking:
         gkbms = fig_2_3.gkbms
         keys_did = fig_2_3.records["keys"].did
         gkbms.backtracker.retract(keys_did)
-        record = gkbms.decisions.records[keys_did]
-        assert record.is_retracted
-        assert record.retracted_at is not None
+        record = gkbms.ledger.get(keys_did)
+        assert not record.is_active
+        assert record.retracted_tick is not None
         assert gkbms.processor.is_instance_of(keys_did, "RetractedDecision")
 
     def test_double_retract_rejected(self, fig_2_3):
@@ -199,7 +201,7 @@ class TestAtomicUndo:
         assert gkbms.processor.exists("FlakyRel")
         # ... and the record still says what is true: not retracted
         assert record.status == "done"
-        assert record.retracted_at is None
+        assert record.retracted_tick is None
 
     def test_failing_undo_keeps_decision_retractable(self, flaky):
         """After the failure nothing is half-done, so a later retract
@@ -210,6 +212,28 @@ class TestAtomicUndo:
             gkbms.backtracker.retract(record.did)
         with pytest.raises(RuntimeError):
             gkbms.backtracker.retract(record.did)
+        assert record.status == "done"
+
+    def test_failing_undo_rolls_back_the_whole_condemned_set(self, flaky):
+        """Regression: each victim used to be undone in its own
+        transaction, so when the target's undo raised, its consequent
+        stayed retracted with its output gone from the base."""
+        scenario, record = flaky
+        gkbms = scenario.gkbms
+        gkbms.decisions.register(DecisionClass(
+            name="FollowDec",
+            inputs=(("source", "DBPL_Rel"),),
+            outputs=(("result", "DBPL_Rel"),),
+        ))
+        gkbms.processor.tell_individual("FollowRel", in_class="DBPL_Rel")
+        follow = gkbms.execute("FollowDec", {"source": "FlakyRel"},
+                               outputs={"result": ["FollowRel"]})
+        before_rows = gkbms.processor.store.rows()
+        with pytest.raises(RuntimeError):
+            gkbms.backtracker.retract(record.did)
+        assert gkbms.processor.store.rows() == before_rows
+        assert gkbms.processor.exists("FollowRel")
+        assert follow.status == "done"
         assert record.status == "done"
 
     def test_successful_undo_still_reports_objects(self, fig_2_3):

@@ -179,7 +179,7 @@ class TestExecution:
             "DecMoveDown", {"hierarchy": "Papers"}, tool="MoveDownMapper"
         )
         proc = gkbms.processor
-        for name in record.all_outputs():
+        for name in record.outputs:
             links = proc.attributes_of(name, label="justification")
             assert [p.destination for p in links] == [record.did]
 
@@ -219,9 +219,14 @@ class TestExecution:
         record = gkbms.execute(
             "DecMoveDown", {"hierarchy": "Papers"}, tool="MoveDownMapper"
         )
-        rel = record.outputs["relations"][0]
+        rel = record.output_roles["relations"][0]
         assert gkbms.decisions.producers_of(rel) == [record]
         assert gkbms.decisions.consumers_of("Papers") == [record]
+
+
+def _open_obligations(gkbms, record):
+    return [o for o in gkbms.decisions.obligations_of(record.did)
+            if not o.discharged]
 
 
 class TestObligations:
@@ -234,18 +239,19 @@ class TestObligations:
 
     def test_guaranteed_by_tool(self, gkbms):
         record = self._record(gkbms)
-        by_name = {o.name: o for o in record.obligations}
+        by_name = {o.name: o
+                   for o in gkbms.decisions.obligations_of(record.did)}
         assert by_name["RelationsNormalized"].status == "guaranteed"
         assert by_name["KeysCorrect"].status == "open"
 
     def test_open_obligation_in_kb(self, gkbms):
         record = self._record(gkbms)
-        open_obl = record.open_obligations()[0]
+        open_obl = _open_obligations(gkbms, record)[0]
         assert gkbms.processor.is_instance_of(open_obl.oid, "ProofObligation")
 
     def test_sign(self, gkbms):
         record = self._record(gkbms)
-        obligation = record.open_obligations()[0]
+        obligation = _open_obligations(gkbms, record)[0]
         gkbms.decisions.sign(obligation.oid, "jarke")
         assert obligation.status == "signed"
         assert obligation.signer == "jarke"
@@ -253,14 +259,14 @@ class TestObligations:
 
     def test_double_discharge_rejected(self, gkbms):
         record = self._record(gkbms)
-        obligation = record.open_obligations()[0]
+        obligation = _open_obligations(gkbms, record)[0]
         gkbms.decisions.sign(obligation.oid, "jarke")
         with pytest.raises(ObligationError):
             gkbms.decisions.sign(obligation.oid, "rose")
 
     def test_prove_requires_assertion(self, gkbms):
         record = self._record(gkbms)
-        obligation = record.open_obligations()[0]
+        obligation = _open_obligations(gkbms, record)[0]
         with pytest.raises(ObligationError):
             gkbms.decisions.prove(obligation.oid)
 
@@ -278,7 +284,7 @@ class TestObligations:
             "DecChecked", {"hierarchy": "Papers"}, tool="MoveDownMapper",
             params={"only": ["Invitations"]},
         )
-        obligation = record.open_obligations()[0]
+        obligation = _open_obligations(gkbms, record)[0]
         gkbms.decisions.prove(obligation.oid)
         assert obligation.status == "proved"
 

@@ -1,10 +1,14 @@
 """Tests for the reason maintenance systems and their GKBMS integration."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.conceptbase import ConceptBase
 from repro.errors import RMSError
 from repro.core.rms import ATMS, JTMS, DecisionRMS, PartitionedDecisionRMS
+from repro.decisions import DecisionHistory, JustificationGraph
 from repro.scenario import MeetingScenario
 
 
@@ -157,7 +161,7 @@ class TestDecisionRMS:
     def test_scenario_propagation(self):
         scenario = MeetingScenario().run_to_fig_2_3()
         rms = DecisionRMS()
-        rms.load(scenario.gkbms.decisions.records.values())
+        rms.load(scenario.gkbms.ledger.records)
         keys_did = scenario.records["keys"].did
         assert rms.is_current("InvitationRel2")
         fell_out = rms.retract_decision(keys_did)
@@ -169,7 +173,7 @@ class TestDecisionRMS:
     def test_cascading_retraction(self):
         scenario = MeetingScenario().run_to_fig_2_3()
         rms = DecisionRMS()
-        rms.load(scenario.gkbms.decisions.records.values())
+        rms.load(scenario.gkbms.ledger.records)
         norm_did = scenario.records["normalize"].did
         fell_out = rms.retract_decision(norm_did)
         assert "InvitationRel2" in fell_out
@@ -179,8 +183,8 @@ class TestDecisionRMS:
     def test_retracted_records_loaded_out(self):
         scenario = MeetingScenario().run_all()
         rms = DecisionRMS()
-        rms.load(scenario.gkbms.decisions.records.values())
-        keys_outputs = scenario.records["keys"].all_outputs()
+        rms.load(scenario.gkbms.ledger.records)
+        keys_outputs = scenario.records["keys"].outputs
         assert all(not rms.is_current(name) for name in keys_outputs)
 
 
@@ -188,19 +192,19 @@ class TestPartitionedRMS:
     def _load(self, scope_of=None):
         scenario = MeetingScenario().run_to_fig_2_3()
         rms = PartitionedDecisionRMS(scope_of)
-        rms.load(scenario.gkbms.decisions.records.values())
+        rms.load(scenario.gkbms.ledger.records)
         return scenario, rms
 
     def test_agrees_with_flat_rms(self):
         scenario, partitioned = self._load()
         flat = DecisionRMS()
-        flat.load(scenario.gkbms.decisions.records.values())
+        flat.load(scenario.gkbms.ledger.records)
         assert partitioned.believed_objects() == flat.believed_objects()
 
     def test_retraction_agrees_with_flat(self):
         scenario, partitioned = self._load()
         flat = DecisionRMS()
-        flat.load(scenario.gkbms.decisions.records.values())
+        flat.load(scenario.gkbms.ledger.records)
         did = scenario.records["normalize"].did
         out_partitioned = partitioned.retract_decision(did)
         out_flat = flat.retract_decision(did)
@@ -224,6 +228,34 @@ class TestPartitionedRMS:
             scope_of=lambda record: "single"
         )
         assert list(partitioned.partition_sizes()) == ["single"]
+
+
+@pytest.mark.parametrize("rms_class", [DecisionRMS, PartitionedDecisionRMS])
+def test_rms_over_served_ledger_follows_justification_graph(rms_class):
+    """A ledger built by served ``decide`` traffic loads like an
+    in-process one: retracting d1 makes OUT exactly the outputs of d1
+    and of its consequents in the justification graph."""
+    cb = ConceptBase()
+    with cb.transaction():
+        cb.tell("TELL K IN SimpleClass END")
+    history = DecisionHistory(cb)
+    chain = [("Map", None, "A"), ("Norm", "A", "B"), ("Key", "B", "C"),
+             ("Map", None, "D"), ("Norm", "D", "E")]
+    for decision_class, source, name in chain:
+        spec = {"decision_class": decision_class,
+                "tell": [f"TELL {name} IN K END"]}
+        if source is not None:
+            spec["inputs"] = {"src": source}
+        history.apply_decide(json.dumps(spec, sort_keys=True))
+    records = history.ledger.records
+    rms = rms_class()
+    rms.load(records)
+    condemned = JustificationGraph(records).consequents("d1") | {"d1"}
+    assert condemned == {"d1", "d2", "d3"}
+    expected = {name for record in records if record.did in condemned
+                for name in record.outputs}
+    assert rms.retract_decision("d1") == expected
+    assert rms.believed_objects() == {"D", "E"}
 
 
 @settings(max_examples=30, deadline=None)
@@ -267,7 +299,7 @@ class TestDependencyDirectedBacktracking:
 
         scenario = self._scenario()
         culprits = suggest_retractions(
-            scenario.gkbms.decisions.records.values(),
+            scenario.gkbms.ledger.records,
             ["InvitationRel2~3"],  # the associative-key version
         )
         # least-damage-first: the key decision leads its ancestors
@@ -282,7 +314,7 @@ class TestDependencyDirectedBacktracking:
         from repro.core.rms import DecisionRMS, suggest_retractions
 
         scenario = self._scenario()
-        records = list(scenario.gkbms.decisions.records.values())
+        records = list(scenario.gkbms.ledger.records)
         recommended = suggest_retractions(records, ["InvitationRel2~3"])[0]
         rms = DecisionRMS()
         rms.load(records)
@@ -297,5 +329,5 @@ class TestDependencyDirectedBacktracking:
 
         scenario = self._scenario()
         assert suggest_retractions(
-            scenario.gkbms.decisions.records.values(), ["NeverProduced"]
+            scenario.gkbms.ledger.records, ["NeverProduced"]
         ) == []

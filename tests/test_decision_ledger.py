@@ -48,7 +48,7 @@ def history():
 
 
 class TestLedger:
-    def test_record_json_roundtrip_is_lossless(self):
+    def test_record_json_roundtrip_is_lossless(self, history):
         record = LedgerRecord(
             did="d1", tick=3, decision_class="DecNormalize",
             kind="refinement", tool="Normalizer",
@@ -58,8 +58,26 @@ class TestLedger:
             delta=[["create", {"pid": "p1", "source": "R2",
                                "label": "R2", "destination": "R2"}]],
             status="retracted", retracted_tick=9,
+            output_roles={"relations": ["R2"]},
+            params={"key": ("date", "author"), "only": ["R"]},
+            actor="rose", assumptions=["OnlyInvitations"],
         )
-        assert LedgerRecord.from_json(record.to_json()) == record
+        wire = json.loads(json.dumps(record.to_json()))
+        assert LedgerRecord.from_json(wire) == record
+        # a decision log written before the in-process provenance keys
+        # existed recovers to the identical history
+        decide(history, tell=["TELL A IN K END"])
+        decide(history, kind="mapping", inputs={"x": "A"},
+               tell=["TELL B IN K END"], rationale="r", obligations=["ob"])
+        backtrack(history, "d2")
+        before = history.history()
+        old_log = [
+            {key: value for key, value in record.to_json().items()
+             if key not in ("output_roles", "params", "actor", "assumptions")}
+            for record in history.ledger.records
+        ]
+        history.ledger = DecisionLedger.from_wire_log(old_log)
+        assert history.history() == before
 
     def test_from_json_refuses_garbage(self):
         with pytest.raises(DecisionError):
@@ -116,10 +134,11 @@ class TestLedger:
 
     def test_decide_keys_parses_tell_and_untell_names(self):
         keys = decide_keys({
-            "tell": ["TELL A IN K END", "TELL B IN K END\nTELL A IN K END"],
+            "tell": ["TELL A IN K END", "TELL B IN K END\nTELL A IN K END",
+                     "TELL TELLTALE IN K END"],
             "untell": ["C"],
         })
-        assert keys == ["A", "B", "C"]
+        assert keys == ["A", "B", "TELLTALE", "C"]
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +218,8 @@ class TestDecisionHistory:
         assert record.delta[0][0] == "create"
 
     def test_validation_errors(self, history):
-        with pytest.raises(DecisionError):
-            decide(history, decision_class="")
-        with pytest.raises(DecisionError):
-            decide(history, kind="guess")
+        # shape errors (empty class, unknown kind) are refused at the
+        # wire: tests/test_server_decisions.py
         with pytest.raises(DecisionError):
             decide(history, inputs={"src": "Ghost"})
         with pytest.raises(DecisionError):

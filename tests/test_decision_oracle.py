@@ -152,31 +152,31 @@ class TestNavigatorInvariants:
         ticks = [e.tick for e in timeline]
         assert ticks == sorted(ticks)
         for event in timeline:
-            assert event.decision in gkbms.decisions.records
+            assert event.decision in gkbms.ledger.by_did
             assert event.kind in {"created", "used", "retracted"}
 
     def test_justifications_point_at_real_producers(self, evolved):
         _workload, gkbms = evolved
         nav = Navigator(gkbms)
-        for record in gkbms.decisions.records.values():
-            if record.is_retracted:
+        for record in gkbms.ledger.records:
+            if not record.is_active:
                 continue
-            for output in record.all_outputs():
+            for output in record.outputs:
                 did = nav.justification_of(output)
                 assert did is not None
-                justifier = gkbms.decisions.records[did]
-                assert output in justifier.all_outputs()
+                justifier = gkbms.ledger.get(did)
+                assert output in justifier.outputs
 
     def test_causal_chains_terminate_and_stay_in_history(self, evolved):
         _workload, gkbms = evolved
         nav = Navigator(gkbms)
-        for record in gkbms.decisions.records.values():
-            for output in record.all_outputs():
+        for record in gkbms.ledger.records:
+            for output in record.outputs:
                 chain = nav.causal_chain(output)
-                assert len(chain) <= 4 * len(gkbms.decisions.records)
+                assert len(chain) <= 4 * len(gkbms.ledger)
                 for did, used in chain:
                     assert used in \
-                        gkbms.decisions.records[did].inputs.values()
+                        gkbms.ledger.get(did).inputs.values()
 
     def test_status_views_agree_with_level_of(self, evolved):
         _workload, gkbms = evolved
@@ -199,8 +199,8 @@ class TestVersionInvariants:
         _workload, gkbms = evolved
         versions = VersionManager(gkbms)
         bases = {versions.base_of(name)
-                 for record in gkbms.decisions.records.values()
-                 for name in record.all_outputs()}
+                 for record in gkbms.ledger.records
+                 for name in record.outputs}
         for base in sorted(bases):
             try:
                 nodes = versions.versions_of(base)
@@ -221,9 +221,9 @@ class TestVersionInvariants:
         _workload, gkbms = evolved
         versions = VersionManager(gkbms)
         legal = set()
-        for record in gkbms.decisions.records.values():
+        for record in gkbms.ledger.records:
             for source in record.inputs.values():
-                for target in record.all_outputs():
+                for target in record.outputs:
                     legal.add((source, target))
         for source, kind, target in versions.derivation_lattice():
             assert (source, target) in legal

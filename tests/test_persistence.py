@@ -117,10 +117,16 @@ class TestGKBMSPersistence:
     def test_history_restored(self, dump):
         data, scenario = dump
         restored = load_gkbms(json.loads(json.dumps(data)))
-        assert restored.decisions.order == scenario.gkbms.decisions.order
+        assert [r.to_json() for r in restored.ledger.records] == \
+            [r.to_json() for r in scenario.gkbms.ledger.records]
+        assert restored.decisions.obligations == \
+            scenario.gkbms.decisions.obligations
         keys_did = scenario.records["keys"].did
-        assert restored.decisions.records[keys_did].is_retracted
-        assert restored.decisions.records[keys_did].assumptions == [
+        assert not restored.ledger.get(keys_did).is_active
+        assert restored.ledger.get(keys_did).params == {
+            "key": ("date", "author"),
+        }
+        assert restored.ledger.get(keys_did).assumptions == [
             "OnlyInvitationsArePapers"
         ]
 
@@ -137,7 +143,7 @@ class TestGKBMSPersistence:
     def test_decision_ids_continue(self, dump):
         data, _scenario = dump
         restored = load_gkbms(json.loads(json.dumps(data)))
-        before = set(restored.decisions.order)
+        before = {r.did for r in restored.ledger.records}
         record = restored.execute(
             "DecMapTransaction", {"transaction": "SendInvitation"},
             tool="TransactionMapper",
@@ -147,10 +153,7 @@ class TestGKBMSPersistence:
     def test_backtracking_works_after_reload(self, dump):
         data, _scenario = dump
         restored = load_gkbms(json.loads(json.dumps(data)))
-        victim = [
-            did for did in restored.decisions.order
-            if not restored.decisions.records[did].is_retracted
-        ][-1]
+        victim = restored.ledger.active()[-1].did
         report = restored.backtracker.retract(victim)
         assert victim in report.retracted_decisions
 
@@ -168,9 +171,13 @@ class TestGKBMSPersistence:
         with pytest.raises(GKBMSError):
             load_gkbms(mutated)
 
-    def test_bad_format_rejected(self):
-        with pytest.raises(GKBMSError):
-            load_gkbms({"format": 99})
+    def test_bad_format_rejected(self, dump):
+        data, _scenario = dump
+        # format 1 kept decisions' outputs as role -> names dicts
+        for version in (99, 1):
+            with pytest.raises(GKBMSError):
+                load_gkbms(dict(json.loads(json.dumps(data)),
+                                format=version))
 
     def test_retired_stacks_restored(self, dump):
         data, scenario = dump
@@ -210,7 +217,7 @@ class TestSingleRelationStrategy:
         assert rel.field_names() == [
             "paperkey", "kind", "owner", "author", "volume",
         ]
-        assert set(record.outputs["constructors"]) == {
+        assert set(record.output_roles["constructors"]) == {
             "OnlyItems", "OnlyBooks", "OnlyJournals",
         }
 

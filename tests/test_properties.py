@@ -20,6 +20,7 @@ from repro.timecalc import (
     relation_between,
 )
 from repro.core.rms import JTMS
+from repro.decisions import JustificationGraph
 
 # ---------------------------------------------------------------------------
 # Frame <-> proposition roundtrip
@@ -286,16 +287,16 @@ def test_backtracking_removes_exactly_consequents(chain_spec, victim_index):
         return  # chain consumed a DBPL-only object; spec not applicable
     victim_index = victim_index % len(records)
     victim = records[victim_index]
-    expected_condemned = set(
-        gkbms.backtracker.consequents(victim.did) + [victim.did]
-    )
+    expected_condemned = JustificationGraph(
+        gkbms.ledger.records
+    ).consequents(victim.did) | {victim.did}
     gkbms.backtracker.retract(victim.did)
     for record in records:
         if record.did in expected_condemned:
-            assert record.is_retracted
-            for name in record.all_outputs():
+            assert not record.is_active
+            for name in record.outputs:
                 assert not gkbms.processor.exists(name)
         else:
-            assert not record.is_retracted
-            for name in record.all_outputs():
+            assert record.is_active
+            for name in record.outputs:
                 assert gkbms.processor.exists(name)

@@ -16,6 +16,7 @@ import pytest
 from repro.conceptbase import ConceptBase
 from repro.errors import (
     BacktrackError,
+    CommitConflict,
     DecisionError,
     ProtocolError,
     SessionError,
@@ -115,6 +116,35 @@ class TestServedOps:
             did = client.decide("A", tell=["TELL R IN K END"])["did"]
             client.backtrack(did)
             client.backtrack(did)
+
+    def test_malformed_spec_refused_before_it_applies(self, client):
+        """Regression: a string ``untell`` used to be iterated by
+        character, deleting objects ``a`` and ``b``."""
+        seed_schema(client)
+        client.tell("TELL a IN K END")
+        client.tell("TELL b IN K END")
+        with pytest.raises(ProtocolError):
+            client.decide("DecX", untell="ab")
+        for bad in ({"tell": "TELL c IN K END"}, {"parents": [1]},
+                    {"inputs": {"x": 1}}, {"rationale": 5},
+                    {"tool": ["T"]}):
+            with pytest.raises(ProtocolError):
+                client._call("decide", dict(bad, decision_class="DecX"))
+        assert sorted(client.instances("K")) == ["a", "b"]
+        assert client.history()["recorded"] == 0
+
+    def test_decide_conflicts_with_staged_tell_of_same_name(self, service):
+        """Regression: decide's conflict keys split sources on the
+        substring "TELL", so a decide telling ``TELLTALE`` wrote key
+        ``TALE`` and a racing transaction committed over it."""
+        decider = LocalClient(service)
+        racer = LocalClient(service)
+        seed_schema(decider)
+        racer.begin()
+        racer.tell("TELL TELLTALE IN K END")
+        decider.decide("DecX", tell=["TELL TELLTALE IN K END"])
+        with pytest.raises(CommitConflict):
+            racer.commit()
 
     def test_failed_decide_burns_no_did(self, client):
         seed_schema(client)

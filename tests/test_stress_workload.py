@@ -57,14 +57,13 @@ class TestWorkloadInvariants:
         _workload, gkbms = evolved
         produced_by_active = {
             name
-            for record in gkbms.decisions.records.values()
-            if not record.is_retracted
-            for name in record.all_outputs()
+            for record in gkbms.ledger.active()
+            for name in record.outputs
         }
         produced_ever = {
             name
-            for record in gkbms.decisions.records.values()
-            for name in record.all_outputs()
+            for record in gkbms.ledger.records
+            for name in record.outputs
         }
         for name in produced_ever:
             assert gkbms.processor.exists(name) == (
@@ -74,16 +73,13 @@ class TestWorkloadInvariants:
     def test_rms_agrees_with_record_statuses(self, evolved):
         _workload, gkbms = evolved
         rms = DecisionRMS()
-        rms.load(
-            gkbms.decisions.records[did] for did in gkbms.decisions.order
-        )
-        for record in gkbms.decisions.records.values():
-            for name in record.all_outputs():
+        rms.load(gkbms.ledger.records)
+        for record in gkbms.ledger.records:
+            for name in record.outputs:
                 if gkbms.processor.exists(name):
                     assert rms.is_current(name) or any(
-                        name in other.all_outputs()
-                        and not other.is_retracted
-                        for other in gkbms.decisions.records.values()
+                        name in other.outputs
+                        for other in gkbms.ledger.active()
                     )
 
     def test_configuration_derivable(self, evolved):
@@ -99,7 +95,7 @@ class TestWorkloadInvariants:
         for source, _label, destination in graph.edges:
             # every edge endpoint is a decision, tool, or existing object
             known = (
-                source in gkbms.decisions.records
+                source in gkbms.ledger.by_did
                 or gkbms.processor.exists(source)
                 or source in gkbms.tools.names()
             )
@@ -110,7 +106,7 @@ class TestWorkloadInvariants:
         data = json.loads(json.dumps(save_gkbms(gkbms)))
         restored = load_gkbms(data)
         assert sorted(restored.module.names()) == sorted(gkbms.module.names())
-        assert restored.decisions.order == gkbms.decisions.order
+        assert [r.did for r in restored.ledger] == [r.did for r in gkbms.ledger]
         restored.build_database()  # still executable
 
     def test_reproducible(self, evolved):
@@ -122,4 +118,4 @@ class TestWorkloadInvariants:
             e.kind for e in workload.events
         ]
         assert sorted(gkbms2.module.names()) == sorted(gkbms.module.names())
-        assert gkbms2.decisions.order == gkbms.decisions.order
+        assert [r.did for r in gkbms2.ledger] == [r.did for r in gkbms.ledger]

@@ -22,7 +22,7 @@ class TestTransactionMapping:
             "DecMapTransaction", {"transaction": "SendInvitation"},
             tool="TransactionMapper",
         )
-        assert record.outputs == {"program": ["TSendInvitation"]}
+        assert record.output_roles == {"program": ["TSendInvitation"]}
         txn = gkbms.module.transactions["TSendInvitation"]
         assert txn.parameters == [("inv", "Invitations")]
         # normalisation split: both halves get an insert
@@ -123,11 +123,11 @@ class TestDecisionAtomicity:
     def test_no_decision_recorded_on_failure(self, mapped):
         gkbms = mapped.gkbms
         self._register_exploding_tool(gkbms)
-        history = list(gkbms.decisions.order)
+        history = list(gkbms.ledger.records)
         with pytest.raises(RuntimeError):
             gkbms.execute("DecExplode", {"hierarchy": "Papers"},
                           tool="Exploder")
-        assert gkbms.decisions.order == history
+        assert gkbms.ledger.records == history
 
     def test_postcondition_failure_rolls_back(self, mapped):
         gkbms = mapped.gkbms
@@ -160,4 +160,4 @@ class TestDecisionAtomicity:
             "DecMapTransaction", {"transaction": "SendInvitation"},
             tool="TransactionMapper",
         )
-        assert record.outputs["program"] == ["TSendInvitation"]
+        assert record.output_roles["program"] == ["TSendInvitation"]
