@@ -12,11 +12,18 @@ a 200-decision served history:
   (canonical ``rows()``) to an oracle base where the condemned
   decisions never executed at all.
 
+- **Graph work is per record, not per history**: on a 1000-decision
+  history, decides, backtracks and history reads construct no
+  justification graph; each decide links exactly one record into the
+  graph the ledger maintains.
+
 Counters (propositions re-applied, rebuild size, the ratio scaled to
-an integer) land in the BENCH json as the machine-independent
-trajectory; the ``decisions.*`` registry metrics ride along.
+an integer, graph constructions and links per op) land in the BENCH
+json as the machine-independent trajectory; the ``decisions.*``
+registry metrics ride along.
 """
 
+from repro.decisions import JustificationGraph
 from repro.server.client import LocalClient
 from repro.server.service import GKBMSService
 
@@ -28,6 +35,9 @@ RATIO = 3.0
 #: Mid-history backtrack target; its from-to chain segment (chains
 #: break every 4 decisions) makes the condemned subtree 3 decisions.
 TARGET = f"d{DECISIONS // 2 - 2}"
+#: History length, and ops per kind, for the graph-work gate.
+WORK_DECISIONS = 1000
+WORK_DECIDES, WORK_BACKTRACKS, WORK_HISTORIES = 50, 10, 10
 
 
 def _grow_history(client, count):
@@ -105,3 +115,48 @@ def test_backtrack_state_identical_to_oracle(perf_counters):
     perf_counters(surviving_propositions=len(live_rows))
     client.close()
     oracle.close()
+
+
+def test_decide_graph_work_counts(monkeypatch, perf_counters):
+    service = GKBMSService(batch_window=0.0)
+    client = LocalClient(service)
+    _grow_history(client, WORK_DECISIONS)
+    counts = {"constructions": 0, "links": 0}
+    init, add = JustificationGraph.__init__, JustificationGraph.add
+
+    def counted_init(self, records):
+        counts["constructions"] += 1
+        init(self, records)
+
+    def counted_add(self, record):
+        counts["links"] += 1
+        add(self, record)
+
+    monkeypatch.setattr(JustificationGraph, "__init__", counted_init)
+    monkeypatch.setattr(JustificationGraph, "add", counted_add)
+    for n in range(WORK_DECIDES):
+        client.decide("DecWork", tell=[f"TELL Work{n} END"],
+                      inputs={"src": f"Obj{n}"})
+    # chain heads (every 4th decision) in distinct segments
+    step = WORK_DECISIONS // WORK_BACKTRACKS
+    for target in range(1, WORK_DECISIONS, step):
+        assert client.backtrack(f"d{target}")["retracted"]
+    for _ in range(WORK_HISTORIES):
+        client.history()
+    ops = WORK_DECIDES + WORK_BACKTRACKS + WORK_HISTORIES
+    ledger = service.decisions.ledger
+    assert len(ledger) == WORK_DECISIONS + WORK_DECIDES
+    assert counts["constructions"] == 0, (
+        f"{counts['constructions']} justification graph(s) built in "
+        f"{ops} decision ops"
+    )
+    assert counts["links"] == WORK_DECIDES
+    perf_counters(
+        ledger_records=len(ledger),
+        graph_edges=ledger.graph.edge_count,
+        decision_ops=ops,
+        graph_constructions=counts["constructions"],
+        graph_constructions_per_op=counts["constructions"] / ops,
+        graph_links_per_decide=counts["links"] / WORK_DECIDES,
+    )
+    client.close()

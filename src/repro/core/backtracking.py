@@ -7,8 +7,8 @@ the main purpose of introducing the explicit documentation of design
 decisions and dependencies."
 
 The algorithm: take the *consequent closure* of the target decision
-from the :class:`~repro.decisions.graph.JustificationGraph` over the
-GKBMS's ledger (later decisions consuming any object it produced,
+from the :class:`~repro.decisions.graph.JustificationGraph` the GKBMS's
+ledger maintains (later decisions consuming any object it produced,
 transitively — the same function served backtracking uses), then undo
 the closure newest-first.  Undoing a decision removes the design
 objects it created from the knowledge base and (through the tool's undo
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.errors import BacktrackError
-from repro.decisions.graph import JustificationGraph
 from repro.decisions.ledger import LedgerRecord
 
 
@@ -60,7 +59,7 @@ class Backtracker:
             raise BacktrackError(f"unknown decision {did!r}")
         if not target.is_active:
             raise BacktrackError(f"decision {did!r} is already retracted")
-        condemned = JustificationGraph(ledger.records).consequents(did)
+        condemned = ledger.graph.consequents(did)
         condemned.add(did)
         # newest first, so inputs of earlier condemned decisions still
         # exist while their consumers are being undone

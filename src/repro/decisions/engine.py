@@ -1,8 +1,8 @@
 """The served decision-history engine.
 
-:class:`DecisionHistory` binds a ledger + justification graph to one
-:class:`~repro.conceptbase.ConceptBase` and implements the five wire
-ops (§3.3 served):
+:class:`DecisionHistory` binds a ledger (and the justification graph
+it maintains) to one :class:`~repro.conceptbase.ConceptBase` and
+implements the five wire ops (§3.3 served):
 
 - ``decide`` — run a decision's tells/untells as one transaction and
   append the ledger record *inside* that transaction, so record and
@@ -30,7 +30,6 @@ import json
 from typing import Any, Dict, List, Optional
 
 from repro.conceptbase import ConceptBase
-from repro.decisions.graph import JustificationGraph
 from repro.decisions.ledger import DecisionLedger, LedgerRecord
 from repro.errors import BacktrackError, DecisionError
 from repro.objects.frame import parse_frames
@@ -89,7 +88,7 @@ class DecisionHistory:
         return self._tracer if self._tracer is not None else get_tracer()
 
     def _refresh_gauges(self) -> None:
-        graph = JustificationGraph(self.ledger.records)
+        graph = self.ledger.graph
         self._g_nodes.set(graph.node_count)
         self._g_edges.set(graph.edge_count)
 
@@ -189,8 +188,7 @@ class DecisionHistory:
         record = self.ledger.get(did)
         if not record.is_active:
             raise BacktrackError(f"decision {did!r} is already retracted")
-        graph = JustificationGraph(self.ledger.records)
-        condemned = graph.consequents(did) | {did}
+        condemned = self.ledger.graph.consequents(did) | {did}
         victims = sorted((self.ledger.by_did[d] for d in condemned),
                          key=lambda r: r.tick, reverse=True)
         durable = isinstance(self.store, WalStore)
@@ -250,15 +248,17 @@ class DecisionHistory:
     # ------------------------------------------------------------------
 
     def history(self, include_retracted: bool = True) -> Dict[str, Any]:
-        """The ledger plus the justification graph's direct edges."""
-        graph = JustificationGraph(self.ledger.records)
+        """The listed decisions plus the justification graph's direct
+        edges between them."""
         decisions = [
             record.summary() for record in self.ledger.records
             if include_retracted or record.is_active
         ]
+        listed = {entry["did"] for entry in decisions}
         return {
             "decisions": decisions,
-            "edges": graph.edge_list(),
+            "edges": [edge for edge in self.ledger.graph.edge_list()
+                      if edge["from"] in listed and edge["to"] in listed],
             "recorded": len(self.ledger.records),
             "active": len(self.ledger.active()),
         }

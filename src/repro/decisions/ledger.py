@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.decisions.graph import JustificationGraph
 from repro.errors import DecisionError
 
 #: Decision kinds with derivation semantics (§3.3): ``mapping``
@@ -190,6 +191,11 @@ class DecisionLedger:
     reproduces the same ids, which is what makes the ledger itself the
     oracle.  The in-process GKBMS appends ``dec1, dec2, ...`` ticked by
     its own version clock.
+
+    Like :attr:`by_did`, :attr:`graph` is an index kept up to date on
+    :meth:`append`; records must arrive in non-decreasing tick order
+    (served ticks strictly increase, in-process ones follow the GKBMS
+    clock), and recovery rebuilds it by appending the logged records.
     """
 
     def __init__(self) -> None:
@@ -197,6 +203,7 @@ class DecisionLedger:
         # reads run under the serving rwlock above it.
         self.records: List[LedgerRecord] = []  # guarded-by: external: GKBMSService._rwlock
         self.by_did: Dict[str, LedgerRecord] = {}  # guarded-by: external: GKBMSService._rwlock
+        self.graph = JustificationGraph([])  # guarded-by: external: GKBMSService._rwlock
         self._events = 0  # guarded-by: <writer>
 
     def __len__(self) -> int:
@@ -209,8 +216,11 @@ class DecisionLedger:
         return f"d{len(self.records) + 1}"
 
     def next_tick(self) -> int:  # runs-on: writer
-        self._events += 1
-        return self._events
+        """The tick the next event will carry.  A pure read: only an
+        event that lands (:meth:`append`, :meth:`mark_retracted`)
+        advances the clock, so a refused decide or backtrack uses up
+        no tick."""
+        return self._events + 1
 
     def get(self, did: str) -> LedgerRecord:
         record = self.by_did.get(did)
@@ -221,6 +231,7 @@ class DecisionLedger:
     def append(self, record: LedgerRecord) -> None:  # runs-on: writer
         if record.did in self.by_did:
             raise DecisionError(f"duplicate decision id {record.did!r}")
+        self.graph.add(record)
         self.records.append(record)
         self.by_did[record.did] = record
         self._events = max(self._events, record.tick,

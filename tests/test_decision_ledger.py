@@ -10,6 +10,7 @@ across plain reopens, checkpoints, and aborted transactions.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.conceptbase import ConceptBase
 from repro.decisions import (
@@ -20,7 +21,7 @@ from repro.decisions import (
     LedgerRecord,
     decide_keys,
 )
-from repro.errors import BacktrackError, DecisionError
+from repro.errors import BacktrackError, ConsistencyError, DecisionError
 from repro.obs.metrics import MetricsRegistry
 from repro.propositions.wal import WalStore
 
@@ -203,6 +204,146 @@ class TestJustificationGraph:
             {"from": "d1", "to": "d2", "reason": "from-to"},
         ]
 
+    def test_out_of_order_append_is_refused_unchanged(self):
+        ledger = DecisionLedger()
+        ledger.append(_rec("d1", 5, outputs=["A"], told=["A"]))
+        with pytest.raises(DecisionError):
+            ledger.append(_rec("d2", 4, inputs={"x": "A"}, outputs=["B"],
+                               told=["B"]))
+        assert [r.did for r in ledger.records] == ["d1"]
+        assert "d2" not in ledger.by_did
+        assert ledger.next_did() == "d2"
+        assert ledger.graph.node_count == 1
+        assert ledger.graph.edge_list() == []
+        # the refused record left nothing in the lookup indexes: a
+        # later consumer of its output links to nobody
+        ledger.append(_rec("d2", 5, inputs={"x": "A"}))  # equal tick: in order
+        ledger.append(_rec("d3", 6, inputs={"x": "B"}))
+        assert ledger.graph.edge_list() == [
+            {"from": "d1", "to": "d2", "reason": "from-to"},
+        ]
+        assert ledger.graph.justification_of("d3") == []
+
+
+class AllPairsGraph:
+    """The reference justification graph: every earlier/later pair of
+    the tick-sorted records, tested directly (O(records^2))."""
+
+    def __init__(self, records):
+        self.records = sorted(records, key=lambda r: r.tick)
+        self.edges = {record.did: {} for record in self.records}
+        for i, earlier in enumerate(self.records):
+            created = set(earlier.created_ids())
+            outputs = set(earlier.outputs)
+            for later in self.records[i + 1:]:
+                if earlier.did in later.parents:
+                    self.edges[earlier.did][later.did] = "by"
+                elif set(later.inputs.values()) & outputs:
+                    self.edges[earlier.did][later.did] = "from-to"
+                elif set(later.referenced_ids()) & created:
+                    self.edges[earlier.did][later.did] = "write-set"
+
+    def edge_list(self):
+        return [{"from": source, "to": target,
+                 "reason": self.edges[source][target]}
+                for source in sorted(self.edges)
+                for target in sorted(self.edges[source])]
+
+    def consequents(self, did, active_only=True):
+        active = {r.did for r in self.records
+                  if r.is_active or not active_only}
+        seen = set()
+        frontier = [did]
+        while frontier:
+            for target in self.edges.get(frontier.pop(), ()):
+                if target in active and target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+        return seen
+
+    def justification_of(self, did):
+        return sorted((source, targets[did])
+                      for source, targets in self.edges.items()
+                      if did in targets)
+
+
+#: Small id pools, so names, pids and link endpoints collide often.
+_NAMES = ["A", "B", "C", "K"]
+_PIDS = ["p1", "p2", "p3"]
+_IDS = _NAMES + _PIDS
+
+
+@st.composite
+def record_sequences(draw):
+    """Tick-ordered records (equal ticks allowed) with parents that are
+    earlier, later, self or unknown, names several records output,
+    untold/clipped ids and created-link endpoints."""
+    count = draw(st.integers(0, 12))
+    dids = [f"d{n}" for n in range(1, count + 1)]
+    records = []
+    tick = 0
+    for did in dids:
+        tick += draw(st.integers(0, 2))
+        links = draw(st.lists(st.tuples(st.sampled_from(_PIDS),
+                                        st.sampled_from(_IDS),
+                                        st.sampled_from(_IDS)), max_size=2))
+        delta = [["create", {"pid": pid, "source": source, "label": "l",
+                             "destination": destination}]
+                 for pid, source, destination in links]
+        inputs = draw(st.lists(st.sampled_from(_IDS), max_size=2))
+        records.append(_rec(
+            did, tick,
+            inputs={f"r{i}": name for i, name in enumerate(inputs)},
+            outputs=draw(st.lists(st.sampled_from(_NAMES), max_size=2,
+                                  unique=True)),
+            parents=draw(st.lists(st.sampled_from(dids + ["d99"]),
+                                  max_size=2)),
+            told=[op[1]["pid"] for op in delta],
+            untold=draw(st.lists(st.sampled_from(_IDS), max_size=2)),
+            clipped=draw(st.lists(st.sampled_from(_IDS), max_size=1)),
+            delta=delta,
+        ))
+    retract = draw(st.lists(st.sampled_from(dids), unique=True)) \
+        if dids else []
+    return records, retract
+
+
+def _assert_same_graph(graph, reference, dids):
+    assert [(source, list(targets.items()))
+            for source, targets in graph.edges.items()] == \
+        [(source, list(targets.items()))
+         for source, targets in reference.edges.items()]
+    assert graph.edge_list() == reference.edge_list()
+    assert graph.edge_count == len(reference.edge_list())
+    assert graph.node_count == len(reference.records)
+    for did in dids + ["d99"]:
+        assert graph.justification_of(did) == \
+            reference.justification_of(did)
+        for active_only in (True, False):
+            assert graph.consequents(did, active_only) == \
+                reference.consequents(did, active_only)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_sequences())
+def test_maintained_graph_equals_all_pairs_reference(case):
+    """The graph the ledger links on append is the graph the all-pairs
+    definition gives — edges, target order, justifiers and consequents,
+    before and after random retractions."""
+    records, retract = case
+    ledger = DecisionLedger()
+    for record in records:
+        ledger.append(record)
+    reference = AllPairsGraph(records)
+    dids = [record.did for record in records]
+    _assert_same_graph(ledger.graph, reference, dids)
+    # constructing from an unsorted snapshot sorts it by tick first
+    _assert_same_graph(JustificationGraph(records[::-1]),
+                       AllPairsGraph(records[::-1]), dids)
+    for tick, did in enumerate(retract, start=len(records) + 1):
+        ledger.mark_retracted(did, tick)
+    _assert_same_graph(ledger.graph, reference, dids)
+
 
 # ---------------------------------------------------------------------------
 # DecisionHistory: validation, atomicity, replay, versions
@@ -291,13 +432,19 @@ class TestDecisionHistory:
 
     def test_history_excludes_retracted_on_request(self, history):
         first = decide(history, tell=["TELL A IN K END"])
-        decide(history, tell=["TELL B IN K END"])
+        decide(history, inputs={"x": "A"}, tell=["TELL B IN K END"])
+        decide(history, tell=["TELL C IN K END"])
         backtrack(history, first["did"])
         full = history.history()
-        assert [d["did"] for d in full["decisions"]] == ["d1", "d2"]
-        assert full["recorded"] == 2 and full["active"] == 1
+        assert [d["did"] for d in full["decisions"]] == ["d1", "d2", "d3"]
+        assert full["recorded"] == 3 and full["active"] == 1
+        assert full["edges"] == [
+            {"from": "d1", "to": "d2", "reason": "from-to"},
+        ]
         active = history.history(include_retracted=False)
-        assert [d["did"] for d in active["decisions"]] == ["d2"]
+        assert [d["did"] for d in active["decisions"]] == ["d3"]
+        # no edge may name a decision the history left out
+        assert active["edges"] == []
 
     def test_counters_and_gauges(self):
         registry = MetricsRegistry()
@@ -313,6 +460,68 @@ class TestDecisionHistory:
         assert snap["decisions.backtracked"] == 2  # cascade counted both
         assert snap["decisions.graph_nodes"] == 2
         assert snap["decisions.graph_edges"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Refused ops use up no tick: replaying the accepted ops reproduces ids
+# ---------------------------------------------------------------------------
+
+
+def guarded_history():
+    """A base whose commit check refuses an Invitation without a
+    sender; ``inv0`` predates the constraint, so re-creating it (by
+    backtracking its removal) is refused at commit too."""
+    cb = ConceptBase()
+    cb.define_metaclass("TDL_EntityClass")
+    with cb.transaction():
+        cb.tell("TELL Person IN TDL_EntityClass END")
+        cb.tell("TELL Invitation IN TDL_EntityClass WITH\n"
+                "  attribute sender : Person\nEND")
+        cb.tell("TELL bob IN Person END")
+        cb.tell("TELL inv0 IN Invitation END")
+    cb.add_constraint("Invitation", "HasSender", "Known(self.sender)")
+    cb.enforce_on_commit()
+    return DecisionHistory(cb)
+
+
+def invitation(name):
+    return f"TELL {name} IN Invitation WITH\n  sender sender : bob\nEND"
+
+
+class TestRefusedOpsUseNoTick:
+    def _replay(self, specs):
+        oracle = guarded_history()
+        for spec in specs:
+            decide(oracle, **spec)
+        return oracle
+
+    def test_refused_decide(self):
+        live = guarded_history()
+        accepted = [{"tell": [invitation("inv1")]},
+                    {"tell": [invitation("inv3")]}]
+        decide(live, **accepted[0])
+        with pytest.raises(ConsistencyError):
+            decide(live, tell=["TELL inv2 IN Invitation END"])
+        decide(live, **accepted[1])
+        oracle = self._replay(accepted)
+        assert [r.tick for r in live.ledger.records] == [1, 2]
+        assert [r.summary() for r in live.ledger.records] == \
+            [r.summary() for r in oracle.ledger.records]
+
+    def test_backtrack_refused_at_commit(self):
+        live = guarded_history()
+        accepted = [{"tell": [invitation("inv1")]}, {"untell": ["inv0"]},
+                    {"tell": [invitation("inv3")]}]
+        decide(live, **accepted[0])
+        removal = decide(live, **accepted[1])
+        with pytest.raises(ConsistencyError):
+            backtrack(live, removal["did"])
+        assert live.ledger.get(removal["did"]).is_active
+        decide(live, **accepted[2])
+        oracle = self._replay(accepted)
+        assert [r.tick for r in live.ledger.records] == [1, 2, 3]
+        assert [r.summary() for r in live.ledger.records] == \
+            [r.summary() for r in oracle.ledger.records]
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +549,14 @@ class TestWalDurability:
                         tell=["TELL B IN K END"])
         backtrack(history, second["did"])
         rows = store.rows()
+        edges = history.ledger.graph.edge_list()
         store.close()
 
         store2, _cb2, recovered = self._open(path)
         assert store2.rows() == rows
         assert [(r.did, r.status) for r in recovered.ledger.records] == \
             [("d1", "done"), ("d2", "retracted")]
+        assert edges and recovered.ledger.graph.edge_list() == edges
         # the recovered ledger keeps numbering where it left off
         assert recovered.ledger.next_did() == "d3"
         # ... and its delta is still invertible: backtrack d1 post-crash

@@ -22,9 +22,10 @@ import pytest
 from repro.conceptbase import ConceptBase
 from repro.core.navigation import Navigator
 from repro.core.versioning import VersionManager
-from repro.decisions import DecisionHistory, JustificationGraph
+from repro.decisions import DecisionHistory
 from repro.errors import VersionError
 from repro.scenario.workload import DesignEvolutionWorkload
+from tests.test_decision_ledger import AllPairsGraph
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +59,12 @@ def assert_identical(live_cb, live_history, oracle_cb, oracle_history,
         oracle_cb.propositions.store.rows(), context
     assert [r.summary() for r in live_history.ledger.records] == \
         [r.summary() for r in oracle_history.ledger.records], context
-    live_graph = JustificationGraph(live_history.ledger.records)
-    oracle_graph = JustificationGraph(oracle_history.ledger.records)
-    assert live_graph.edge_list() == oracle_graph.edge_list(), context
+    # the graphs each ledger maintained on append, not fresh rebuilds,
+    # and both equal to the all-pairs definition
+    live_edges = live_history.ledger.graph.edge_list()
+    assert live_edges == oracle_history.ledger.graph.edge_list(), context
+    assert live_edges == \
+        AllPairsGraph(live_history.ledger.records).edge_list(), context
 
 
 @pytest.mark.parametrize("seed", [2, 19, 73])

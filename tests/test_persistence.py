@@ -130,6 +130,13 @@ class TestGKBMSPersistence:
             "OnlyInvitationsArePapers"
         ]
 
+    def test_justification_graph_rebuilt_on_load(self, dump):
+        data, scenario = dump
+        restored = load_gkbms(json.loads(json.dumps(data)))
+        edges = scenario.gkbms.ledger.graph.edge_list()
+        assert edges  # the meeting history's decisions consume each other
+        assert restored.ledger.graph.edge_list() == edges
+
     def test_services_work_on_restored_state(self, dump):
         data, _scenario = dump
         restored = load_gkbms(json.loads(json.dumps(data)))
