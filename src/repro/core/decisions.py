@@ -429,21 +429,3 @@ class DecisionEngine:
             o for o in self.obligations.values()
             if not o.discharged and ledger.get(o.decision_id).is_active
         ]
-
-    # ------------------------------------------------------------------
-    # History access
-    # ------------------------------------------------------------------
-
-    def producers_of(self, name: str) -> List[LedgerRecord]:
-        """Decisions that produced design object ``name``."""
-        return [
-            record for record in self.gkbms.ledger.records
-            if name in record.outputs
-        ]
-
-    def consumers_of(self, name: str) -> List[LedgerRecord]:
-        """Decisions that used ``name`` as an input."""
-        return [
-            record for record in self.gkbms.ledger.records
-            if name in record.inputs.values()
-        ]

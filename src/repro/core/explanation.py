@@ -39,9 +39,7 @@ class Explainer:
         )
         level = self.gkbms.level_of(name)
         lines.append(f"{name} [{level}] in {', '.join(classes)}")
-        producers = [
-            record for record in self.gkbms.decisions.producers_of(name)
-        ]
+        producers = self.gkbms.ledger.producers_of(name)
         if not producers:
             lines.append("  told directly (no justifying decision recorded)")
         for record in producers:
@@ -117,7 +115,7 @@ class Explainer:
             return f"{indent}{name} (see above)"
         seen.add(name)
         lines = [f"{indent}{name}"]
-        producers = self.gkbms.decisions.producers_of(name)
+        producers = self.gkbms.ledger.producers_of(name)
         active = [r for r in producers if r.is_active]
         if active:
             record = active[-1]

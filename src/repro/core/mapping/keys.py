@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.decisions.ledger import version_base
 from repro.errors import DecisionError
 from repro.languages.dbpl.ast import (
     ConstructorDecl,
@@ -168,5 +169,4 @@ def key_substitution_apply(gkbms, inputs: Dict[str, str], params: Dict) -> Dict[
 def key_substitution_undo(gkbms, record) -> None:
     """Restore every artefact revised by the key decision."""
     for name in record.output_roles.get("revised", []):
-        base = name.split("~", 1)[0]
-        gkbms.unrevise_artifact(base)
+        gkbms.unrevise_artifact(version_base(name))

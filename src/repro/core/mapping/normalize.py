@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.decisions.ledger import version_base
 from repro.errors import DecisionError
 from repro.languages.dbpl.ast import (
     ConstructorDecl,
@@ -178,7 +179,7 @@ def normalize_undo(gkbms, record) -> None:
     and un-revise the constructors that had been re-pointed."""
     for name in record.outputs:
         if "~" in name:
-            gkbms.unrevise_artifact(name.split("~", 1)[0])
+            gkbms.unrevise_artifact(version_base(name))
         else:
             gkbms.drop_artifact(name)
     gkbms.restore_artifact(record.inputs["relation"])

@@ -19,7 +19,7 @@ that are applicable to the current focus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.metamodel import LEVEL_OF_CLASS, level_of
 from repro.models.interaction import Browser, MenuItem
@@ -91,7 +91,7 @@ class Navigator:
 
     def justification_of(self, name: str) -> Optional[str]:
         """The decision that produced (justifies) ``name``."""
-        producers = self.gkbms.decisions.producers_of(name)
+        producers = self.gkbms.ledger.producers_of(name)
         active = [r for r in producers if r.is_active]
         chosen = active or producers
         return chosen[-1].did if chosen else None
@@ -118,12 +118,20 @@ class Navigator:
         return chain
 
     def derived_from(self, name: str) -> List[str]:
-        """Objects downstream of ``name`` in the dependency graph."""
-        graph = self.gkbms.dependency_graph()
-        return sorted(
-            node for node in graph.downstream(name)
-            if node not in self.gkbms.ledger.by_did
-        )
+        """Objects produced, directly or through further decisions, by
+        the active decisions that used ``name``."""
+        ledger = self.gkbms.ledger
+        derived: Set[str] = set()
+        frontier = [name]
+        while frontier:
+            for record in ledger.consumers_of(frontier.pop()):
+                if not record.is_active:
+                    continue
+                for output in record.outputs:
+                    if output not in derived:
+                        derived.add(output)
+                        frontier.append(output)
+        return sorted(derived)
 
     # ------------------------------------------------------------------
     # Temporal dimension

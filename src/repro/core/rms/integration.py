@@ -1,12 +1,11 @@
 """RMS integration with the GKBMS decision structure (section 3.3.3).
 
-Two constructions:
+Every decision instance is a JTMS *assumption*; every design object it
+produced is justified by (decision + its inputs).  Retracting the
+decision's assumption makes all its consequences OUT automatically —
+"automatic propagation of the consequences of high-level changes".
+One encoding, two shapes:
 
-- :class:`DecisionRMS` — the straightforward encoding: every decision
-  instance is a JTMS *assumption*; every design object it produced is
-  justified by (decision + its inputs).  Retracting the decision's
-  assumption makes all its consequences OUT automatically — "automatic
-  propagation of the consequences of high-level changes".
 - :class:`PartitionedDecisionRMS` — the paper's proposed combination
   with GKBMS abstraction: one small JTMS per decision *scope* (e.g.
   per mapped hierarchy or per module), with interface nodes linking
@@ -15,6 +14,8 @@ Two constructions:
   network each RMS run touches, which is the whole point given that
   "current RMS can handle only fairly small dependency networks
   efficiently".
+- :class:`DecisionRMS` — the straightforward flat encoding: the same
+  RMS with a single scope, so one JTMS holds the whole history.
 
 Both load :class:`~repro.decisions.ledger.LedgerRecord`s, so they run
 over the in-process GKBMS's ledger and over a served
@@ -27,73 +28,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.core.rms.jtms import JTMS
 from repro.decisions.ledger import LedgerRecord
-
-
-class DecisionRMS:
-    """One flat JTMS over the whole decision history."""
-
-    def __init__(self) -> None:
-        self.jtms = JTMS()
-        self._objects: Set[str] = set()
-
-    def load(self, records: Iterable[LedgerRecord]) -> None:
-        """Encode a decision history into the JTMS."""
-        for record in records:
-            self.add_decision(record)
-
-    def add_decision(self, record: LedgerRecord) -> None:
-        """Encode one decision: assumption + justifications."""
-        self.jtms.add_assumption(record.did)
-        if not record.is_active:
-            self.jtms.retract(record.did)
-        for value in set(record.inputs.values()):
-            if value not in self.jtms.nodes():
-                self.jtms.add_premise(value)
-        in_list = [record.did] + sorted(set(record.inputs.values()))
-        for output in record.outputs:
-            self._objects.add(output)
-            self.jtms.justify(output, in_list=in_list,
-                              informant=record.decision_class)
-
-    def retract_decision(self, did: str) -> Set[str]:
-        """Retract; returns the design objects that fell OUT."""
-        before = self.jtms.believed()
-        self.jtms.retract(did)
-        return (before - self.jtms.believed()) & self._objects
-
-    def believed_objects(self) -> Set[str]:
-        """Design objects currently IN."""
-        return self.jtms.believed() & self._objects
-
-    def is_current(self, name: str) -> bool:
-        """Is the design object currently believed?"""
-        return self.jtms.is_in(name)
-
-
-def suggest_retractions(records: Iterable[LedgerRecord],
-                        conflicting_objects: Iterable[str]) -> List[str]:
-    """Dependency-directed backtracking advice (Doyle [DOYL79]).
-
-    Given design objects that cannot coexist (e.g. the associative-key
-    implementation and the Minutes relation of fig 2-4), load the
-    history into a JTMS, assert a contradiction justified by their
-    conjunction, and return the decision ids underlying it — retracting
-    any one resolves the conflict.  Ordered least-damage-first: the
-    latest culprit (fewest consequents to undo) leads, which in the
-    scenario makes the key decision the recommended retraction.
-    """
-    rms = DecisionRMS()
-    records = list(records)
-    rms.load(records)
-    conflict = list(conflicting_objects)
-    rms.jtms.justify("conflict!", in_list=conflict,
-                     informant="dependency-directed backtracking")
-    rms.jtms.mark_contradiction("conflict!")
-    culprits: Set[str] = set()
-    for assumption_set in rms.jtms.diagnose():
-        culprits |= assumption_set
-    ticks = {record.did: record.tick for record in records}
-    return sorted(culprits, key=lambda did: (-ticks.get(did, 0), did))
 
 
 class PartitionedDecisionRMS:
@@ -211,3 +145,42 @@ class PartitionedDecisionRMS:
     def total_visits(self) -> int:
         """Justification visits summed over partitions."""
         return sum(j.stats["visits"] for j in self.partitions.values())
+
+
+class DecisionRMS(PartitionedDecisionRMS):
+    """One flat JTMS over the whole decision history: the partitioned
+    RMS with a single scope."""
+
+    def __init__(self) -> None:
+        super().__init__(scope_of=lambda record: "history")
+
+    @property
+    def jtms(self) -> JTMS:
+        """The single JTMS holding every decision."""
+        return self._partition("history")
+
+
+def suggest_retractions(records: Iterable[LedgerRecord],
+                        conflicting_objects: Iterable[str]) -> List[str]:
+    """Dependency-directed backtracking advice (Doyle [DOYL79]).
+
+    Given design objects that cannot coexist (e.g. the associative-key
+    implementation and the Minutes relation of fig 2-4), load the
+    history into a JTMS, assert a contradiction justified by their
+    conjunction, and return the decision ids underlying it — retracting
+    any one resolves the conflict.  Ordered least-damage-first: the
+    latest culprit (fewest consequents to undo) leads, which in the
+    scenario makes the key decision the recommended retraction.
+    """
+    rms = DecisionRMS()
+    records = list(records)
+    rms.load(records)
+    conflict = list(conflicting_objects)
+    rms.jtms.justify("conflict!", in_list=conflict,
+                     informant="dependency-directed backtracking")
+    rms.jtms.mark_contradiction("conflict!")
+    culprits: Set[str] = set()
+    for assumption_set in rms.jtms.diagnose():
+        culprits |= assumption_set
+    ticks = {record.did: record.tick for record in records}
+    return sorted(culprits, key=lambda did: (-ticks.get(did, 0), did))

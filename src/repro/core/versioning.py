@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import VersionError
-from repro.core.metamodel import LEVEL_OF_CLASS, level_of
+from repro.core.metamodel import level_of
+from repro.decisions.ledger import LedgerRecord, version_base
 
 
 @dataclass
@@ -71,7 +72,7 @@ class VersionManager:
 
     def base_of(self, name: str) -> str:
         """Strip the ``~tick`` version suffix."""
-        return name.split("~", 1)[0]
+        return version_base(name)
 
     def versions_of(self, base: str) -> List[VersionNode]:
         """All documented versions of a design object, oldest first.
@@ -81,40 +82,34 @@ class VersionManager:
         A version is *active* when its creating decision still stands
         (and for the base: when no active revision supersedes it).
         """
+        return self._versions(self.gkbms.ledger.version_entries(), base)
+
+    def _versions(self, grouped: Dict[str, List[Tuple[str, LedgerRecord]]],
+                  base: str) -> List[VersionNode]:
+        """:meth:`versions_of` over the ledger's version grouping."""
         proc = self.gkbms.processor
-        if not proc.exists(base) and not self._revisions(base):
+        entries = grouped.get(base, [])
+        revisions = [(name, record) for name, record in entries
+                     if name != base]
+        exists = proc.exists(base)
+        if not exists and not revisions:
             raise VersionError(f"unknown design object {base!r}")
         nodes: List[VersionNode] = []
-        revisions = self._revisions(base)
-        ledger = self.gkbms.ledger
-        active_revisions = [
-            (name, did, tick) for name, did, tick in revisions
-            if did is None or ledger.get(did).is_active
-        ]
-        if proc.exists(base):
-            creator = self._creator(base)
-            base_tick = ledger.get(creator).tick if creator is not None else 0
+        if exists:
+            creators = [record for name, record in entries if name == base]
             nodes.append(VersionNode(
-                base, base, creator, base_tick,
-                active=not active_revisions,
+                base, base, creators[0].did if creators else None,
+                creators[0].tick if creators else 0,
+                active=not any(record.is_active
+                               for _name, record in revisions),
             ))
-        for name, did, tick in revisions:
-            active = (name, did, tick) in active_revisions and proc.exists(name)
-            nodes.append(VersionNode(name, base, did, tick, active=active))
+        for name, record in revisions:
+            nodes.append(VersionNode(
+                name, base, record.did, record.tick,
+                active=record.is_active and proc.exists(name),
+            ))
         nodes.sort(key=lambda n: n.tick)
         return nodes
-
-    def _revisions(self, base: str) -> List[Tuple[str, Optional[str], int]]:
-        out = []
-        for record in self.gkbms.ledger.records:
-            for name in record.outputs:
-                if "~" in name and self.base_of(name) == base:
-                    out.append((name, record.did, record.tick))
-        return sorted(out, key=lambda item: item[2])
-
-    def _creator(self, name: str) -> Optional[str]:
-        producers = self.gkbms.decisions.producers_of(name)
-        return producers[0].did if producers else None
 
     def current(self, base: str) -> str:
         """The active version of a design object."""
@@ -138,27 +133,20 @@ class VersionManager:
     # Configurations
     # ------------------------------------------------------------------
 
-    def _level_objects(self, level: str) -> List[str]:
-        proc = self.gkbms.processor
-        roots = [root for root, lvl in LEVEL_OF_CLASS.items() if lvl == level]
-        names: Set[str] = set()
-        for root in roots:
-            names |= proc.instances_of(root)
-        return sorted(names)
-
     def vertical_configuration(self, name: str) -> Dict[str, List[str]]:
         """The multi-level configuration ``name`` belongs to: objects
         per level reachable through mapping-decision equivalences."""
         proc = self.gkbms.processor
+        ledger = self.gkbms.ledger
         reached: Set[str] = {name}
         frontier = [name]
         while frontier:
             current = frontier.pop()
             related: Set[str] = set()
-            for record in self.gkbms.decisions.producers_of(current):
+            for record in ledger.producers_of(current):
                 if record.is_active:
                     related |= set(record.inputs.values())
-            for record in self.gkbms.decisions.consumers_of(current):
+            for record in ledger.consumers_of(current):
                 if record.is_active:
                     related |= set(record.outputs)
             for other in related - reached:
@@ -174,17 +162,15 @@ class VersionManager:
         """"Configure the latest complete <level> version": project the
         derivation structure onto one level, excluding non-used
         versions, and check completeness and consistency."""
+        grouped = self.gkbms.ledger.version_entries()
         active_objects = []
-        for name in self._level_objects(level):
-            if "~" in name:
-                continue  # version tokens are bookkeeping, not components
-            try:
-                self.current(name)  # raises when no version is active
-            except VersionError:
-                continue
-            # the *module-level* artefact keeps the base name; include
-            # it when some version of it is active
-            active_objects.append(name)
+        for name in self.gkbms.navigator().status_view(level):
+            # version tokens are bookkeeping, not components; the
+            # *module-level* artefact keeps the base name and counts
+            # while some version of it is active
+            if "~" not in name and any(
+                    node.active for node in self._versions(grouped, name)):
+                active_objects.append(name)
 
         issues: List[str] = []
         missing: List[str] = []

@@ -314,38 +314,5 @@ class DecisionHistory:
         }
 
     def versions(self) -> Dict[str, Any]:
-        """Versions and configurations derived from the ledger (§3.3):
-        outputs named ``base~tick`` are versions of ``base``; mapping
-        decisions yield vertical configuration edges, refinement
-        decisions horizontal ones, choice decisions alternatives."""
-        versions: Dict[str, List[Dict[str, Any]]] = {}
-        vertical: List[Dict[str, Any]] = []
-        horizontal: List[Dict[str, Any]] = []
-        alternatives: List[Dict[str, Any]] = []
-        for record in self.ledger.records:
-            for name in record.outputs:
-                base = name.split("~", 1)[0]
-                versions.setdefault(base, []).append({
-                    "name": name,
-                    "decision": record.did,
-                    "active": record.is_active,
-                })
-            edge = {
-                "decision": record.did,
-                "from": sorted(set(record.inputs.values())),
-                "to": list(record.outputs),
-                "active": record.is_active,
-            }
-            if record.kind == "mapping":
-                vertical.append(edge)
-            elif record.kind == "refinement":
-                horizontal.append(edge)
-            elif record.kind == "choice":
-                alternatives.append(edge)
-        return {
-            "versions": {base: entries
-                         for base, entries in sorted(versions.items())},
-            "vertical": vertical,
-            "horizontal": horizontal,
-            "alternatives": alternatives,
-        }
+        """Versions and configurations derived from the ledger (§3.3)."""
+        return self.ledger.versions()

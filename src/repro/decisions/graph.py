@@ -84,10 +84,16 @@ class JustificationGraph:
         self.edges[record.did] = {}
         self._nodes[record.did] = record
         self._last_tick = record.tick
-        for name in record.outputs:
+        # A record naming one object under two output roles produces
+        # it once.
+        for name in set(record.outputs):
             self._producers.setdefault(name, []).append(record.did)
         for created in record.created_ids():
             self._creators.setdefault(created, []).append(record.did)
+
+    def producers_of(self, name: str) -> List[str]:
+        """Dids that output ``name``, in append order."""
+        return list(self._producers.get(name, ()))
 
     @property
     def node_count(self) -> int:

@@ -20,7 +20,7 @@ The in-memory ledger is a thin typed view over exactly what
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.decisions.graph import JustificationGraph
 from repro.errors import DecisionError
@@ -29,6 +29,16 @@ from repro.errors import DecisionError
 #: decisions produce vertical configurations, ``refinement`` horizontal
 #: ones, ``choice`` decisions open version alternatives.
 KINDS = ("mapping", "refinement", "choice", "other")
+
+#: The wire-form configuration list each derivation kind feeds.
+_CONFIGURATION_OF_KIND = {"mapping": "vertical", "refinement": "horizontal",
+                          "choice": "alternatives"}
+
+
+def version_base(name: str) -> str:
+    """The design object a ``base~tick`` version name versions (a plain
+    name is its own base)."""
+    return name.split("~", 1)[0]
 
 
 @dataclass
@@ -245,6 +255,51 @@ class DecisionLedger:
 
     def active(self) -> List[LedgerRecord]:
         return [record for record in self.records if record.is_active]
+
+    def producers_of(self, name: str) -> List[LedgerRecord]:
+        """Records that output ``name``, oldest first (the graph's
+        output-name index)."""
+        return [self.by_did[did] for did in self.graph.producers_of(name)]
+
+    def consumers_of(self, name: str) -> List[LedgerRecord]:
+        """Records that used ``name`` as an input, oldest first."""
+        return [record for record in self.records
+                if name in record.inputs.values()]
+
+    def version_entries(self) -> Dict[str, List[Tuple[str, LedgerRecord]]]:
+        """Every output grouped under the base it versions (§3.3.2):
+        base -> ``(name, producing record)`` in ledger order, the plain
+        name and its ``base~tick`` revisions alike."""
+        grouped: Dict[str, List[Tuple[str, LedgerRecord]]] = {}
+        for record in self.records:
+            for name in record.outputs:
+                grouped.setdefault(version_base(name), []).append(
+                    (name, record))
+        return grouped
+
+    def versions(self) -> Dict[str, Any]:
+        """The ``versions`` wire form: each base's versions with their
+        creating decision's status, plus the configuration edges
+        mapping (vertical), refinement (horizontal) and choice
+        (alternatives) decisions draw."""
+        configurations: Dict[str, List[Dict[str, Any]]] = {
+            "vertical": [], "horizontal": [], "alternatives": []}
+        for record in self.records:
+            target = _CONFIGURATION_OF_KIND.get(record.kind)
+            if target is not None:
+                configurations[target].append({
+                    "decision": record.did,
+                    "from": sorted(set(record.inputs.values())),
+                    "to": list(record.outputs),
+                    "active": record.is_active,
+                })
+        versions = {
+            base: [{"name": name, "decision": record.did,
+                    "active": record.is_active}
+                   for name, record in entries]
+            for base, entries in sorted(self.version_entries().items())
+        }
+        return {"versions": versions, **configurations}
 
     @classmethod
     def from_wire_log(cls, decision_log: List[Dict[str, Any]]

@@ -59,6 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.atomicio import REAL_IO
 from repro.conceptbase import ConceptBase
+from repro.decisions import DecisionHistory
 from repro.faults import FaultPlan, FaultyIO
 from repro.obs.metrics import MetricsRegistry
 from repro.propositions.wal import WalStore
@@ -70,7 +71,7 @@ from repro.server.client import (
     TCPClient,
 )
 from repro.server.protocol import encode_frame
-from repro.server.service import GKBMSService
+from repro.server.service import GKBMSService, apply_ops
 from repro.server.supervisor import ServiceSupervisor
 from repro.server.tcp import AsyncGKBMSServer, GKBMSServer
 
@@ -164,27 +165,6 @@ class PowerCutIO(FaultyIO):
 # ----------------------------------------------------------------------
 
 
-def _apply_logged_ops(cb: ConceptBase, decisions, ops) -> None:
-    """Apply one accepted commit's ops to the replay base.
-
-    Decision ops go through the same :class:`DecisionHistory` code path
-    the service used, bound to the replay base — dids and ticks are
-    deterministic functions of the op sequence, so the replay yields
-    the identical ledger."""
-    kind0 = ops[0][0] if ops else None
-    if kind0 == "decide":
-        decisions.apply_decide(ops[0][1])
-    elif kind0 == "backtrack":
-        decisions.apply_backtrack(ops[0][1])
-    else:
-        with cb.transaction():
-            for kind, arg in ops:
-                if kind == "tell":
-                    cb.tell(arg)
-                elif kind == "untell":
-                    cb.untell(arg)
-
-
 def replay_commit_log(
     commit_log: List[Tuple[int, str, List[Tuple[str, str]]]]
 ) -> ConceptBase:
@@ -192,15 +172,15 @@ def replay_commit_log(
 
     Single-threaded replay of the accepted log is the service tier's
     correctness oracle: the pipeline refuses conflicting commits
-    *before* apply, so the log is exactly the history that executed."""
-    from repro.decisions import DecisionHistory
-
+    *before* apply, so the log is exactly the history that executed.
+    Commits replay through the service's own apply path, so decision
+    ids and ticks — functions of the op sequence — come out identical."""
     cb = ConceptBase()
     decisions = DecisionHistory(cb)
     for _seq, _sid, ops in commit_log:
         if ops and ops[0][0] == "checkpoint":
             continue  # durability housekeeping; no logical effect
-        _apply_logged_ops(cb, decisions, ops)
+        apply_ops(cb, decisions, ops)
     return cb
 
 
@@ -214,8 +194,6 @@ def oracle_prefix(
     A fully-recovered store yields ``k == len(acked_log)``; a lying
     disk yields some smaller ``k`` (quantified loss); ``None`` means
     the recovered state is not any accepted history at all."""
-    from repro.decisions import DecisionHistory
-
     cb = ConceptBase()
     decisions = DecisionHistory(cb)
     match: Optional[int] = None
@@ -226,7 +204,7 @@ def oracle_prefix(
             if match == index:
                 match = index + 1
             continue
-        _apply_logged_ops(cb, decisions, ops)
+        apply_ops(cb, decisions, ops)
         if rows == cb.propositions.store.rows():
             match = index + 1
     return match

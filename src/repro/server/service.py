@@ -54,7 +54,7 @@ from repro.server.protocol import (
     ok_response,
     validate_request,
 )
-from repro.server.session import Session, SessionManager
+from repro.server.session import Session, SessionManager, StagedOp
 
 #: Ops that run without a session (and without admission state tied to
 #: one).
@@ -75,6 +75,35 @@ _SESSION_SERIAL = frozenset(
 #: Ops that mutate the shared knowledge base — refused in read-only
 #: degrade (everything else still serves from the recovered state).
 _WRITE_OPS = frozenset({"tell", "untell", "commit", "decide", "backtrack"})
+
+
+def apply_ops(cb: ConceptBase, decisions: DecisionHistory,
+              ops: List[StagedOp]) -> Dict[str, Any]:
+    """Apply one accepted commit's ops to ``cb`` and its decision
+    history — the one commit-apply path, shared by the serving writer,
+    the accepted-commit-log oracle and a memory-backed restart's
+    replay.
+
+    A decide or backtrack op is its own commit and runs its own
+    transaction (record and delta share one WAL transaction); staged
+    tells and untells apply as one transaction.  Decision ids and ticks
+    are functions of the op sequence, so replaying an accepted log
+    rebuilds the identical ledger."""
+    if ops and ops[0][0] == "decide":
+        return decisions.apply_decide(ops[0][1])
+    if ops and ops[0][0] == "backtrack":
+        return decisions.apply_backtrack(ops[0][1])
+    created = 0
+    retracted = 0
+    with cb.transaction():
+        for kind, arg in ops:
+            if kind == "tell":
+                created += len(cb.tell(arg))
+            elif kind == "untell":
+                retracted += len(cb.untell(arg))
+            else:
+                raise ServerError(f"unknown staged op kind {kind!r}")
+    return {"created": created, "retracted": retracted}
 
 
 class GKBMSService:
@@ -563,44 +592,10 @@ class GKBMSService:
         """Apply one accepted commit (writer thread, exclusive lock)."""
         if pending.ops and pending.ops[0][0] == "checkpoint":
             return self._apply_checkpoint()
-        if pending.ops and pending.ops[0][0] in ("decide", "backtrack"):
-            return self._apply_decision(pending)
-        created = 0
-        retracted = 0
         with self._rwlock.write_locked():
             self._applying = pending
             try:
-                with self.cb.transaction():
-                    for kind, arg in pending.ops:
-                        if kind == "tell":
-                            created += len(self.cb.tell(arg))
-                        elif kind == "untell":
-                            retracted += len(self.cb.untell(arg))
-                        else:
-                            raise ServerError(
-                                f"unknown staged op kind {kind!r}"
-                            )
-            finally:
-                self._applying = None
-        return {
-            "created": created,
-            "retracted": retracted,
-            "epoch": self.cb.propositions.epoch,
-        }
-
-    def _apply_decision(self, pending: PendingCommit) -> Dict[str, Any]:
-        """Apply one decide/backtrack op: the decision engine manages
-        its own ConceptBase transaction (ledger record and proposition
-        delta must share one WAL transaction), so this just provides
-        the write lock and conflict bookkeeping around it."""
-        kind, arg = pending.ops[0]
-        with self._rwlock.write_locked():
-            self._applying = pending
-            try:
-                if kind == "decide":
-                    result = self.decisions.apply_decide(arg)
-                else:
-                    result = self.decisions.apply_backtrack(arg)
+                result = apply_ops(self.cb, self.decisions, pending.ops)
             finally:
                 self._applying = None
         result["epoch"] = self.cb.propositions.epoch
@@ -706,6 +701,16 @@ class GKBMSService:
         with self._rwlock.write_locked():
             self.cb = cb
             store = cb.propositions.store
+            # A recovered WAL's decision_log *is* the ledger, so the
+            # successor engine rebuilds from it.  A memory-backed base
+            # arrives empty and is rebuilt from the acked commit log,
+            # decisions included: either way every acked commit
+            # survives the restart.
+            self.decisions = DecisionHistory(cb, tracer=self._tracer)
+            if not isinstance(store, WalStore):
+                for _seq, _sid, ops in state.get("commit_log", []):
+                    if ops and ops[0][0] != "checkpoint":
+                        apply_ops(cb, self.decisions, ops)
             self.pipeline = CommitPipeline(
                 self._apply_commit, self._ns.namespace("commit"),
                 self._tracer,
@@ -717,10 +722,6 @@ class GKBMSService:
             if self._check_consistency:
                 cb.enforce_on_commit()
             cb.propositions.add_commit_validator(self._revalidate_applying)
-            # The recovered store's decision_log *is* the ledger: the
-            # successor engine rebuilds from it, so every acked decision
-            # survives the restart exactly like every acked tell.
-            self.decisions = DecisionHistory(cb, tracer=self._tracer)
         self._status = "serving"
 
     # ------------------------------------------------------------------

@@ -27,6 +27,9 @@ place, while readers keep their typed errors instead of hung sockets:
    the monotonic commit sequence, the conflict watermarks, and the
    acked commit log with its idempotency-token results — so a client
    retrying a commit whose ack was lost in the fault gets exactly-once.
+   A memory-backed service has no log to reopen: the service rebuilds
+   its fresh base by replaying the acked commit log, decisions
+   included.
 4. **Resume** — the service swaps the pair in under the write lock and
    serves again.  Mean time to recovery lands in
    ``server.supervisor.mttr_ms``.
@@ -184,12 +187,11 @@ class ServiceSupervisor:
         old_store = service.cb.propositions.store
         if not isinstance(old_store, WalStore):
             # Memory-backed service: nothing on disk to recover; the
-            # successor pipeline simply continues from the acked state.
+            # service rebuilds the fresh base from the acked commit log.
             cb = ConceptBase(
                 store=None, registry=service.registry,
                 tracer=service._tracer,
             )
-            self._replay_acked(cb, state)
             service.complete_restart(cb, state)
             return
         path = old_store.path
@@ -214,18 +216,6 @@ class ServiceSupervisor:
             tracer=service._tracer,
         )
         service.complete_restart(cb, state)
-
-    @staticmethod
-    def _replay_acked(cb: ConceptBase, state: Dict[str, Any]) -> None:
-        """Rebuild a memory-backed base from the acked commit log (the
-        WAL-backed path gets this for free from recovery replay)."""
-        for _seq, _sid, ops in state.get("commit_log", []):
-            with cb.transaction():
-                for kind, arg in ops:
-                    if kind == "tell":
-                        cb.tell(arg)
-                    elif kind == "untell":
-                        cb.untell(arg)
 
 
 __all__ = ["ServiceSupervisor"]

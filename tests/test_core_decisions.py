@@ -220,8 +220,8 @@ class TestExecution:
             "DecMoveDown", {"hierarchy": "Papers"}, tool="MoveDownMapper"
         )
         rel = record.output_roles["relations"][0]
-        assert gkbms.decisions.producers_of(rel) == [record]
-        assert gkbms.decisions.consumers_of("Papers") == [record]
+        assert gkbms.ledger.producers_of(rel) == [record]
+        assert gkbms.ledger.consumers_of("Papers") == [record]
 
 
 def _open_obligations(gkbms, record):

@@ -135,10 +135,17 @@ class TestNavigation:
         assert "InvitationRel" in objects
         assert "Papers" in objects
 
-    def test_derived_from(self, full):
-        nav = full.gkbms.navigator()
-        derived = nav.derived_from("Papers")
-        assert "InvitationRel2" in derived
+    def test_derived_from(self, full, fig_2_3):
+        for scenario in (fig_2_3, full):
+            derived = scenario.gkbms.navigator().derived_from("Papers")
+            assert "InvitationRel2" in derived
+            # only design objects: the tools and assumptions the
+            # decisions name are not derived from Papers
+            assert not {"MoveDownMapper", "Normalizer", "KeySubstituter",
+                        "OnlyInvitationsArePapers"} & set(derived)
+        # the backtracked key decision's versions are no longer derived
+        derived = full.gkbms.navigator().derived_from("Papers")
+        assert not set(full.records["keys"].outputs) & set(derived)
 
     def test_timeline_ordered(self, full):
         nav = full.gkbms.navigator()

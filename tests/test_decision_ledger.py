@@ -224,6 +224,30 @@ class TestJustificationGraph:
         ]
         assert ledger.graph.justification_of("d3") == []
 
+    def test_producer_lookup_lists_a_record_once(self):
+        """A record naming one object under two output roles produced
+        it once."""
+        ledger = DecisionLedger()
+        first = _rec("d1", 1, outputs=["A", "A"],
+                     output_roles={"relation": ["A"], "key": ["A"]})
+        second = _rec("d2", 2, outputs=["A"])
+        ledger.append(first)
+        ledger.append(second)
+        assert ledger.graph.producers_of("A") == ["d1", "d2"]
+        assert ledger.producers_of("A") == [first, second]
+        assert ledger.producers_of("B") == []
+
+    def test_version_entries_group_outputs_under_their_base(self):
+        ledger = DecisionLedger()
+        first = _rec("d1", 1, outputs=["R"])
+        second = _rec("d2", 2, outputs=["R~2", "S"])
+        ledger.append(first)
+        ledger.append(second)
+        assert ledger.version_entries() == {
+            "R": [("R", first), ("R~2", second)],
+            "S": [("S", second)],
+        }
+
 
 class AllPairsGraph:
     """The reference justification graph: every earlier/later pair of

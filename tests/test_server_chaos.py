@@ -151,8 +151,10 @@ class TestOracle:
 
     def test_replay_skips_checkpoints(self):
         cb = replay_commit_log(self.LOG)
-        assert cb.ask("Known(A)")
-        assert cb.ask("Known(B)")
+        assert cb.ask("In(A, Proposition)")
+        assert cb.ask("In(B, Proposition)")
+        # the existence check can fail: a name never told is not in
+        assert not cb.ask("In(Never, Proposition)")
 
     def test_full_prefix_matches(self):
         rows = replay_commit_log(self.LOG).propositions.store.rows()
@@ -253,8 +255,8 @@ class TestSupervisedRecovery:
         assert service.status == "serving"
         assert result["created"] >= 1
         assert client.retry.retries >= 1
-        assert client.ask("Known(Before)")
-        assert client.ask("Known(After)")
+        assert client.ask("In(Before, Proposition)")
+        assert client.ask("In(After, Proposition)")
         applied = [
             entry for entry in service.pipeline.commit_log()
             if any("After" in arg for _kind, arg in entry[2])
@@ -279,24 +281,44 @@ class TestSupervisedRecovery:
         snapshot = service.registry.snapshot("server.supervisor")
         assert snapshot["server.supervisor.read_only_degrades"] == 1
         assert snapshot["server.supervisor.state"] == 2
-        assert client.ask("Known(Probe)")  # reads still serve
+        assert client.ask("In(Probe, Proposition)")  # reads still serve
         with pytest.raises(ServerReadOnly):
             client.tell("TELL Refused IN SimpleClass END")
         service.close()
 
     def test_memory_backed_restart_replays_acked_log(self):
         """No WAL: the successor base is rebuilt from the exported
-        acked commit log alone."""
+        acked commit log alone — decisions and backtracks included."""
         service = GKBMSService(ConceptBase())
         supervisor = ServiceSupervisor(
             service, backoff_base=0.0, seed=FAULT_SEED
         )
         client = LocalClient(service)
         client.tell("TELL Kept END")
+        client.tell("TELL K IN SimpleClass END")
+        client.decide("Map", kind="mapping", tell=["TELL A IN K END"])
+        normalize = client.decide("Norm", kind="refinement",
+                                  inputs={"rel": "A"},
+                                  tell=["TELL B IN K END"])
+        client.decide("Key", kind="choice", inputs={"rel": "B"},
+                      tell=["TELL C IN K END"])
+        client.decide("Map", kind="mapping", tell=["TELL D IN K END"])
+        client.backtrack(normalize["did"])  # takes C down with B
+        client.tell("TELL After IN K END")
+        names = ("Kept", "A", "B", "C", "D", "After")
+        objects = {name: client.ask(f"In({name}, Proposition)")
+                   for name in names}
+        assert objects == {"Kept": True, "A": True, "B": False,
+                           "C": False, "D": True, "After": True}
+        history = client.history()
+        rows = service.cb.propositions.store.rows()
         supervisor._on_fault(ServerError("synthetic durability fault"))
         supervisor.join()
         assert service.status == "serving"
-        assert client.ask("Known(Kept)")
+        assert {name: client.ask(f"In({name}, Proposition)")
+                for name in names} == objects
+        assert client.history() == history
+        assert service.cb.propositions.store.rows() == rows
         service.close()
 
     def test_restarting_status_rejects_with_typed_error(self):
