@@ -14,11 +14,17 @@ clock:
   sets, compiled join plans vs the interpreted unify-per-row baseline.
   The compiled path must examine at least 3x fewer rows (join probes)
   at the largest size, on an identical fixpoint.
+- **Bound goals through the store's indexes** (the prover's
+  ``fact_source(predicate, bound)``): ``attr(?x, sender, P)`` over a
+  section 2.1 paper base, the rows the knowledge view returns with the
+  goal's bound arguments vs a source that ignores them.  The indexed
+  source must return at least 10x fewer rows, with identical answers.
 """
 
 import pytest
 
-from repro.deduction import Database, evaluate, parse_program
+from repro.conceptbase import ConceptBase
+from repro.deduction import Database, Prover, evaluate, parse_literal, parse_program
 from repro.deduction.seminaive import new_stats
 from repro.propositions import PropositionProcessor
 
@@ -235,3 +241,68 @@ def _load_into(proc: PropositionProcessor, objects: int) -> None:
             proc.tell_link(previous[hierarchy], "owner", name,
                            of_class=f"Base{hierarchy}.owner")
         previous[hierarchy] = name
+
+
+# ---------------------------------------------------------------------------
+# Part D: bound goals answered from the store's indexes
+# ---------------------------------------------------------------------------
+
+PAPER_HIERARCHIES = 4
+PAPER_LEAVES = 3
+PERSONS = 20
+DOCUMENTS = 300
+
+
+def paper_base() -> ConceptBase:
+    """The section 2.1 domain in the shape of the served design-browse
+    workload, smaller: paper hierarchies whose leaf classes hold
+    documents with a ``sender`` attribute pointing at a person."""
+    cb = ConceptBase()
+    cb.tell("TELL Person IN SimpleClass END")
+    leaves = []
+    for h in range(PAPER_HIERARCHIES):
+        cb.tell(f"TELL Paper{h} IN SimpleClass WITH\n"
+                f"  attribute sender : Person\nEND")
+        for k in range(PAPER_LEAVES):
+            leaves.append(f"Paper{h}s{k}")
+            cb.tell(f"TELL {leaves[-1]} IN SimpleClass ISA Paper{h} END")
+    cb.tell("\n".join(f"TELL Pers{i} IN Person END" for i in range(PERSONS)))
+    cb.tell("\n".join(
+        f"TELL Doc{n} IN {leaves[n % len(leaves)]} WITH\n"
+        f"  sender sender : Pers{(n * 7) % PERSONS}\nEND"
+        for n in range(DOCUMENTS)))
+    return cb
+
+
+def test_bound_goal_fact_rows_ratio(perf_counters):
+    """Acceptance: >=10x fewer fact rows offered to the prover for the
+    served ``attr(?x, sender, P)`` query, with identical answers."""
+    cb = paper_base()
+    view = cb.rules.view
+    rows = {"indexed": 0, "scan": 0}
+
+    def counted(kind, source):
+        def fact_source(predicate, bound):
+            out = source(predicate, bound)
+            rows[kind] += len(out)
+            return out
+        return fact_source
+
+    indexed = Prover(cb.rules.rules().values(),
+                     fact_source=counted("indexed", view.facts))
+    scan = Prover(cb.rules.rules().values(),
+                  fact_source=counted("scan", lambda p, bound: view.facts(p)))
+    for person in range(PERSONS):
+        text = f"attr(?x, sender, Pers{person})"
+        answers = indexed.answers(parse_literal(text))
+        assert sorted(answers) == sorted(scan.answers(parse_literal(text)))
+        assert sorted(answers) == sorted(cb.query(text))
+        assert len(answers) == DOCUMENTS // PERSONS
+    assert rows["indexed"] * 10 <= rows["scan"]
+    perf_counters(
+        fact_rows_indexed=rows["indexed"],
+        fact_rows_scan=rows["scan"],
+        bound_goals=PERSONS,
+    )
+    print(f"\nPerf-6d fact rows over {PERSONS} attr(?x, sender, P) goals: "
+          f"indexed={rows['indexed']}, scan={rows['scan']}")

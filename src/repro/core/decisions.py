@@ -253,15 +253,17 @@ class DecisionEngine:
                     f"{dc.name!r}"
                 )
             tool_spec = self.tools.get(tool)
-        tick = self.gkbms.tick()
-        did = f"dec{len(self.gkbms.ledger) + 1}"
 
         # A decision executes as a transaction (section 3.2: "the
         # decision instance defining a, possibly nested, transaction"):
-        # the knowledge-base telling and the artefact stores roll back
-        # together when the tool fails or the postcondition does not
-        # hold, so a failed decision leaves no trace.
+        # the knowledge-base telling, the artefact stores and the clock
+        # roll back together when the tool fails or the postcondition
+        # does not hold, so a failed decision leaves no trace.  The tick
+        # is still taken before the tool runs: tools name versions from
+        # the clock.
         artefact_snapshot = self.gkbms.snapshot_artifacts()
+        tick = self.gkbms.tick()
+        did = f"dec{len(self.gkbms.ledger) + 1}"
         try:
             with self.processor.telling():
                 if tool_spec is not None and tool_spec.apply is not None:

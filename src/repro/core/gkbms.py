@@ -226,10 +226,12 @@ class GKBMS:
 
     def snapshot_artifacts(self) -> Dict:
         """Copy the artefact-store state (module + retired stacks +
-        metadata) so a failing decision can roll it back."""
+        metadata) and the version clock, so a failing decision can roll
+        them back."""
         import copy
 
         return {
+            "clock": self._clock,
             "relations": dict(self.module.relations),
             "selectors": dict(self.module.selectors),
             "constructors": dict(self.module.constructors),
@@ -240,6 +242,7 @@ class GKBMS:
 
     def restore_artifacts(self, snapshot: Dict) -> None:
         """Restore a snapshot taken by :meth:`snapshot_artifacts`."""
+        self._clock = snapshot["clock"]
         self.module.relations = dict(snapshot["relations"])
         self.module.selectors = dict(snapshot["selectors"])
         self.module.constructors = dict(snapshot["constructors"])

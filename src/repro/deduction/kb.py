@@ -9,11 +9,21 @@
 - ``attr(X, L, Y)`` — attribute links (labels are data);
 - ``attr_of(P, C)`` — link P is an instance of attribute class C.
 
+A call that binds an argument of ``prop``, ``attr``, ``isa`` or ``in``
+is answered from the store's indexes and the processor's
+specialization closure, so a bound goal costs its matches, not the
+store.  Unbound calls, and every call of ``isa_star`` and ``attr_of``,
+get the whole list, cached per knowledge-base stamp: the processor
+epoch together with the store's visibility epoch, so workspace
+activation invalidates it like a tell does.
+
 :class:`RuleEngine` manages *rule propositions*: each registered rule is
 documented in the knowledge base (an ``AssertionObject`` individual plus
 a ``rule`` link from the class it is attached to), evaluated bottom-up
 for the deduced-proposition hook, and available to the top-down
-:class:`~repro.deduction.prover.Prover` for query answering.
+:class:`~repro.deduction.prover.Prover` for query answering.  The hook
+yields nothing, without materialising, while no rule concludes
+``attr``.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import DeductionError
 from repro.deduction.parser import parse_rule
-from repro.deduction.prover import Prover
+from repro.deduction.prover import Bound, Prover
 from repro.deduction.seminaive import (
     Database,
     MaterializedFixpoint,
@@ -33,10 +43,19 @@ from repro.deduction.terms import Rule
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.obs.tracing import Tracer, get_tracer
 from repro.propositions.processor import PropositionProcessor
-from repro.propositions.proposition import Pattern, Proposition
+from repro.propositions.proposition import (
+    INSTANCEOF,
+    ISA,
+    Pattern,
+    Proposition,
+)
 
 #: Prefix of synthetic identifiers for deduced propositions.
 DEDUCED_PREFIX = "ded:"
+
+#: Predicates whose bound calls are answered from the store's indexes,
+#: with their arities.
+INDEXED_ARITY: Dict[str, int] = {"prop": 4, "attr": 3, "isa": 2, "in": 2}
 
 
 class KnowledgeView:
@@ -44,17 +63,75 @@ class KnowledgeView:
 
     def __init__(self, processor: PropositionProcessor) -> None:
         self.processor = processor
-        self._cache_epoch = -1
+        self._cache_stamp: Optional[Tuple[int, int]] = None
         self._cache: Dict[str, List[Tuple]] = {}
 
-    def facts(self, predicate: str) -> Iterable[Tuple]:
-        """Ground facts for ``predicate`` (cached per epoch)."""
-        if self._cache_epoch != self.processor.epoch:
+    def stamp(self) -> Tuple[int, int]:
+        """What the visible facts depend on: the processor epoch (every
+        tell, untell and rollback) and the store's visibility epoch
+        (workspace activation and deactivation)."""
+        return (self.processor.epoch, self.processor.store.visibility_epoch)
+
+    def facts(self, predicate: str, bound: Optional[Bound] = None) -> List[Tuple]:
+        """Ground facts for ``predicate``.
+
+        ``bound`` holds one value per argument, ``None`` where the
+        argument is unbound.  When it binds an argument of ``prop``,
+        ``attr``, ``isa`` or ``in``, the result is exactly the rows of
+        the whole list that agree with it, read from the store's
+        indexes, uncached and sorted (index buckets are sets, whose
+        order would follow the string hash seed).  Otherwise the whole
+        list comes back, cached per :meth:`stamp`.
+        """
+        if (bound is not None and predicate in INDEXED_ARITY
+                and any(value is not None for value in bound)):
+            if len(bound) != INDEXED_ARITY[predicate]:
+                return []
+            return sorted(self._lookup(predicate, bound))
+        stamp = self.stamp()
+        if self._cache_stamp != stamp:
             self._cache.clear()
-            self._cache_epoch = self.processor.epoch
+            self._cache_stamp = stamp
         if predicate not in self._cache:
             self._cache[predicate] = list(self._compute(predicate))
         return self._cache[predicate]
+
+    def _lookup(self, predicate: str, bound: Bound) -> Iterator[Tuple]:
+        """The rows of ``predicate`` that agree with ``bound``: one
+        store retrieval, keeping :meth:`_compute`'s row filters."""
+        proc = self.processor
+        retrieve = proc.store.retrieve
+        if predicate == "prop":
+            pid, source, label, destination = bound
+            for p in retrieve(Pattern(pid=pid, source=source, label=label,
+                                      destination=destination)):
+                yield (p.pid, p.source, p.label, p.destination)
+        elif predicate == "attr":
+            source, label, destination = bound
+            for p in retrieve(Pattern(source=source, label=label,
+                                      destination=destination)):
+                if p.is_link and not p.is_instanceof and not p.is_isa:
+                    yield (p.source, p.label, p.destination)
+        elif predicate == "isa":
+            sub, sup = bound
+            for p in retrieve(Pattern(source=sub, label=ISA, destination=sup)):
+                if p.is_link:
+                    yield (p.source, p.destination)
+        elif bound[0] is not None:
+            # in(X, C), X bound: X's classification links, closed upward.
+            member, cls = bound
+            classes: Set[str] = set()
+            for p in retrieve(Pattern(source=member, label=INSTANCEOF)):
+                if p.is_link:
+                    classes |= proc.generalizations(p.destination)
+            for sup in classes:
+                if cls is None or sup == cls:
+                    yield (member, sup)
+        else:
+            # in(X, C), C bound: the classification closure.
+            cls = bound[1]
+            for member in proc.instances_of(cls):
+                yield (member, cls)
 
     def _compute(self, predicate: str) -> Iterator[Tuple]:
         proc = self.processor
@@ -144,7 +221,7 @@ class RuleEngine:
         self._c_refreshes = self._metrics.counter("idb_refreshes")
         self.stats = StatsView(self._metrics)
         self._rules: Dict[str, Rule] = {}
-        self._idb_epoch = -1
+        self._idb_stamp: Optional[Tuple[int, int]] = None
         self._idb: Optional[Database] = None
         self._fixpoint: Optional[MaterializedFixpoint] = None
         self._edb_rows: Dict[str, Set[Tuple]] = {}
@@ -215,26 +292,26 @@ class RuleEngine:
             rules=self._rules.values(),
             fact_source=self.view.facts,
             lemmas=lemmas,
-            epoch_source=lambda: self.processor.epoch,
+            epoch_source=self.view.stamp,
             max_depth=max_depth,
         )
 
     def materialise(self) -> Database:
-        """Bottom-up IDB, cached per knowledge-base epoch.
+        """Bottom-up IDB, cached per knowledge-base stamp.
 
         With ``incremental`` (and the compiled evaluator) the IDB is
         built once into a
         :class:`~repro.deduction.seminaive.MaterializedFixpoint` and
-        then *delta-maintained*: an epoch change triggers a support-set
+        then *delta-maintained*: a stamp change triggers a support-set
         diff of the EDB predicates against the previous materialisation
         and an :meth:`MaterializedFixpoint.apply_delta` call, instead of
         re-deriving every rule conclusion from scratch.  With
-        ``incremental=False`` (or the interpreted evaluator) every epoch
+        ``incremental=False`` (or the interpreted evaluator) every stamp
         change re-evaluates fully — the ablation baseline Perf-9
         compares rule-firing counts against.
         """
-        epoch = self.processor.epoch
-        if self._idb is not None and self._idb_epoch == epoch:
+        stamp = self.view.stamp()
+        if self._idb is not None and self._idb_stamp == stamp:
             return self._idb
         if (self.incremental and self.optimise
                 and self._fixpoint is not None):
@@ -242,7 +319,7 @@ class RuleEngine:
             return self._idb
         with self.tracer.span(
             "deduction.materialise",
-            rules=len(self._rules), epoch=epoch,
+            rules=len(self._rules), epoch=stamp[0],
         ):
             self._c_materialisations.inc()
             if self.incremental and self.optimise:
@@ -264,11 +341,11 @@ class RuleEngine:
                     optimise=self.optimise, stats=self.stats,
                     tracer=self._tracer,
                 )
-        self._idb_epoch = epoch
+        self._idb_stamp = stamp
         return self._idb
 
     def _refresh_fixpoint(self) -> None:
-        """Delta-maintain the materialised IDB up to the current epoch."""
+        """Delta-maintain the materialised IDB up to the current stamp."""
         assert self._fixpoint is not None
         added: Dict[str, Set[Tuple]] = {}
         removed: Dict[str, Set[Tuple]] = {}
@@ -288,7 +365,7 @@ class RuleEngine:
             self._c_refreshes.inc()
             self._fixpoint.apply_delta(added, removed)
         self._idb = self._fixpoint.database()
-        self._idb_epoch = self.processor.epoch
+        self._idb_stamp = self.view.stamp()
 
     def apply_delta(
         self,
@@ -313,7 +390,7 @@ class RuleEngine:
             self._idb = None
             return self.materialise()
         if (not added and not removed
-                and self._idb_epoch == self.processor.epoch):
+                and self._idb_stamp == self.view.stamp()):
             return self._fixpoint.database()
         self._refresh_fixpoint()
         assert self._idb is not None
@@ -340,6 +417,17 @@ class RuleEngine:
             deduced.append(Proposition(pid, source, label, destination))
         return deduced
 
+    def deduced_matching(self, pattern: Pattern) -> List[Proposition]:
+        """``[p for p in deduced_propositions() if pattern.matches(p)]``.
+
+        Only a rule concluding ``attr`` can deduce a proposition: every
+        EDB ``attr`` row is a stored link, and those are dropped.  So
+        while no rule does, this is empty and nothing materialises.
+        """
+        if not any(rule.head.predicate == "attr" for rule in self._rules.values()):
+            return []
+        return [p for p in self.deduced_propositions() if pattern.matches(p)]
+
     def install_hook(self) -> None:
         """Register deduced propositions with the processor's retrieval."""
         if self._hooked:
@@ -347,6 +435,6 @@ class RuleEngine:
         self._hooked = True
 
         def hook(_proc: PropositionProcessor, pattern: Pattern) -> Iterable[Proposition]:
-            return self.deduced_propositions()
+            return self.deduced_matching(pattern)
 
         self.processor.add_deduction_hook(hook)

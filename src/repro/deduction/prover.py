@@ -8,17 +8,25 @@ lemma generation; this capability is, e.g., used in creating dependency
 graph objects of the GKBMS."
 
 :class:`Prover` performs SLD resolution over a rule program plus a
-*fact source* (a callable yielding ground facts per predicate, normally
-backed by the live proposition base).  Proved goals are cached as
-*lemmas* keyed by the goal pattern and the knowledge-base epoch, so any
-update invalidates stale lemmas automatically.  ``lemmas=False`` turns
-the cache off — the ablation measured by benchmark Perf-1.
+*fact source*, normally backed by the live proposition base.  The
+source is called as ``fact_source(predicate, bound)``: ``bound`` holds
+the goal's argument values after substitution, ``None`` where an
+argument is still a variable, so a source backed by indexes returns
+only the rows that can match (a goal ``attr(?x, sender, P)`` reads one
+index bucket, not every attribute link).  A source may return more rows
+than match — the prover unifies every row it gets — so one that ignores
+``bound`` stays correct.  Proved goals are cached as *lemmas* keyed by
+the goal pattern and the knowledge-base stamp, so any update
+invalidates stale lemmas automatically.  ``lemmas=False`` turns the
+cache off — the ablation measured by benchmark Perf-1.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
 from repro.errors import DeductionError
 from repro.deduction.terms import (
@@ -30,8 +38,13 @@ from repro.deduction.terms import (
     unify,
 )
 
-#: Yields ground argument tuples for a predicate.
-FactSource = Callable[[str], Iterable[Tuple[Any, ...]]]
+#: One value per argument of a goal: its constant, or ``None`` where
+#: the argument is unbound.
+Bound = Tuple[Optional[Any], ...]
+
+#: ``fact_source(predicate, bound)`` yields ground argument tuples for
+#: a predicate: at least every row that agrees with ``bound``.
+FactSource = Callable[[str, Bound], Iterable[Tuple[Any, ...]]]
 
 
 def _goal_key(goal: Literal, theta: Substitution) -> Tuple:
@@ -51,17 +64,17 @@ class Prover:
         rules: Iterable[Rule] = (),
         fact_source: Optional[FactSource] = None,
         lemmas: bool = True,
-        epoch_source: Optional[Callable[[], int]] = None,
+        epoch_source: Optional[Callable[[], Hashable]] = None,
         max_depth: int = 256,
     ) -> None:
         self._rules: List[Rule] = list(rules)
-        self._fact_source = fact_source or (lambda predicate: ())
+        self._fact_source = fact_source or (lambda predicate, bound: ())
         self._lemmas_enabled = lemmas
         self._epoch_source = epoch_source or (lambda: 0)
         self._max_depth = max_depth
         self._rename = itertools.count(1)
-        # lemma cache: goal pattern -> (epoch, list of answer tuples)
-        self._lemmas: Dict[Tuple, Tuple[int, List[Tuple[Any, ...]]]] = {}
+        # lemma cache: goal pattern -> (stamp, list of answer tuples)
+        self._lemmas: Dict[Tuple, Tuple[Hashable, List[Tuple[Any, ...]]]] = {}
         self.stats = {"calls": 0, "lemma_hits": 0, "lemma_stores": 0}
 
     # ------------------------------------------------------------------
@@ -93,7 +106,12 @@ class Prover:
         return False
 
     def answers(self, goal: Literal) -> List[Tuple[Any, ...]]:
-        """Distinct ground argument tuples satisfying ``goal``."""
+        """Distinct ground argument tuples satisfying ``goal``.
+
+        Their order is unspecified: it follows the order the fact
+        source returns rows in, which may differ between bound and
+        unbound calls.
+        """
         seen: Set[Tuple[Any, ...]] = set()
         out: List[Tuple[Any, ...]] = []
         for theta in self.solve(goal):
@@ -144,9 +162,10 @@ class Prover:
         cached = self._lemmas.get(key)
         if cached is not None and cached[0] == epoch:
             self.stats["lemma_hits"] += 1
+            substituted = goal.substitute(theta)
             for row in cached[1]:
                 out = unify(
-                    goal.substitute(theta),
+                    substituted,
                     Literal(goal.predicate, tuple(Constant(v) for v in row)),
                     theta,
                 )
@@ -174,10 +193,16 @@ class Prover:
     def _expand(
         self, goal: Literal, theta: Substitution, depth: int
     ) -> Iterator[Substitution]:
-        # 1. ground facts from the fact source
-        for row in self._fact_source(goal.predicate):
+        goal = goal.substitute(theta)
+        # 1. ground facts from the fact source, narrowed by the
+        #    arguments bound so far (by the query or by earlier body
+        #    literals)
+        bound = tuple(
+            arg.value if isinstance(arg, Constant) else None for arg in goal.args
+        )
+        for row in self._fact_source(goal.predicate, bound):
             candidate = Literal(goal.predicate, tuple(Constant(v) for v in row))
-            out = unify(goal.substitute(theta), candidate, theta)
+            out = unify(goal, candidate, theta)
             if out is not None:
                 yield out
         # 2. rules
@@ -185,7 +210,7 @@ class Prover:
             if rule.head.predicate != goal.predicate:
                 continue
             fresh = rule.rename(str(next(self._rename)))
-            out = unify(goal.substitute(theta), fresh.head, theta)
+            out = unify(goal, fresh.head, theta)
             if out is None:
                 continue
             yield from self._solve_body(list(fresh.body), out, depth + 1)

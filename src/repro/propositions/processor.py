@@ -482,6 +482,7 @@ class PropositionProcessor:
                     for p in self.store.retrieve(
                         Pattern(source=source, label=INSTANCEOF)
                     )
+                    if p.is_link
                 }
                 for key, value in list(table.items()):
                     cls, direct = key
@@ -1032,7 +1033,8 @@ class PropositionProcessor:
         def compute() -> frozenset:
             result: Set[str] = {"Proposition"}
             for prop in self.store.retrieve(Pattern(source=name, label=INSTANCEOF)):
-                result |= self.generalizations(prop.destination)
+                if prop.is_link:
+                    result |= self.generalizations(prop.destination)
             return frozenset(result)
 
         return set(self._cached("classes_of", name, compute))
@@ -1055,7 +1057,8 @@ class PropositionProcessor:
             for c in classes:
                 pattern = Pattern(label=INSTANCEOF, destination=c, at=at)
                 for prop in self.store.retrieve(pattern):
-                    result.add(prop.source)
+                    if prop.is_link:
+                        result.add(prop.source)
             return frozenset(result)
 
         if at is not None:

@@ -215,6 +215,42 @@ class TestExecution:
                       tool="MoveDownMapper")
         assert gkbms.clock == before + 1
 
+    def test_failed_decision_leaves_clock(self, gkbms):
+        """A postcondition failure rolls the tick back with the rest of
+        the decision: the next decision takes the same tick."""
+        gkbms.decisions.register(DecisionClass(
+            name="DecNeverRight",
+            inputs=(("hierarchy", "TDL_EntityClass"),),
+            outputs=(("relations", "DBPL_Rel"),),
+            postcondition="hierarchy = SomethingElse",
+            tools=("MoveDownMapper",),
+        ))
+        before = gkbms.clock
+        with pytest.raises(DecisionError):
+            gkbms.execute("DecNeverRight", {"hierarchy": "Papers"},
+                          tool="MoveDownMapper")
+        assert gkbms.clock == before
+        record = gkbms.execute("DecMoveDown", {"hierarchy": "Papers"},
+                               tool="MoveDownMapper")
+        assert record.tick == before + 1
+
+    def test_seeded_histories_use_every_tick(self):
+        """Every tick up to the clock is some record's tick or
+        retraction tick, over 40 seeded evolution histories whose
+        failed decisions used to leave gaps."""
+        from repro.scenario.workload import DesignEvolutionWorkload
+
+        for hierarchies, steps in ((3, 12), (5, 30)):
+            for seed in range(20):
+                g = DesignEvolutionWorkload(
+                    seed=seed, hierarchies=hierarchies, steps=steps
+                ).run()
+                used = {r.tick for r in g.ledger.records}
+                used |= {r.retracted_tick for r in g.ledger.records
+                         if r.retracted_tick is not None}
+                assert used == set(range(1, g.clock + 1)), (
+                    hierarchies, steps, seed)
+
     def test_producers_consumers(self, gkbms):
         record = gkbms.execute(
             "DecMoveDown", {"hierarchy": "Papers"}, tool="MoveDownMapper"

@@ -137,7 +137,8 @@ class TestProver:
             path(?x, ?z) :- edge(?x, ?y), path(?y, ?z).
             """
         )
-        return Prover(rules, fact_source=lambda p: facts.get(p, ()), lemmas=lemmas)
+        return Prover(rules, fact_source=lambda p, bound: facts.get(p, ()),
+                      lemmas=lemmas)
 
     def test_ask(self):
         prover = self._prover()
@@ -177,7 +178,7 @@ class TestProver:
 
     def test_depth_limit(self):
         rules = [parse_rule("p(?x) :- p(?x).")]
-        prover = Prover(rules, fact_source=lambda p: (), max_depth=10)
+        prover = Prover(rules, fact_source=lambda p, bound: (), max_depth=10)
         with pytest.raises(DeductionError):
             prover.ask(parse_literal("p(a)"))
 

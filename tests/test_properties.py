@@ -85,7 +85,7 @@ def test_prover_agrees_with_seminaive(edges):
 
     prover = Prover(
         _TC_PROGRAM,
-        fact_source=lambda p: rows if p == "edge" else (),
+        fact_source=lambda p, bound: rows if p == "edge" else (),
         max_depth=64,
     )
     top_down = set(prover.answers(parse_literal("path(?x, ?y)")))

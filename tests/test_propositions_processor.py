@@ -42,6 +42,14 @@ class TestClosures:
         assert proc.instances_of("Paper") == {"inv1", "min1"}
         assert proc.instances_of("Paper", direct=True) == set()
 
+    def test_individual_named_instanceof_classifies_nothing(self, proc):
+        """An individual called ``instanceof`` carries that label but is
+        no classification link: it is not its own instance."""
+        proc.tell_individual("instanceof", in_class="Paper")
+        assert proc.instances_of("instanceof") == set()
+        assert "instanceof" not in proc.classes_of("instanceof")
+        assert "instanceof" in proc.instances_of("Paper")
+
     def test_is_instance_of(self, proc):
         proc.tell_individual("inv1", in_class="Invitation")
         assert proc.is_instance_of("inv1", "Paper")
