@@ -17,13 +17,22 @@ a 200-decision served history:
   justification graph; each decide links exactly one record into the
   graph the ledger maintains.
 
+- **A decide's delta is logged once**: over 200 decides shaped like
+  servedbench's decision-history preload, WAL bytes per decide are at
+  least 25% below the same log in the older format, whose ``decision``
+  records repeated the delta their transaction had already logged.
+
 Counters (propositions re-applied, rebuild size, the ratio scaled to
 an integer, graph constructions and links per op) land in the BENCH
 json as the machine-independent trajectory; the ``decisions.*``
 registry metrics ride along.
 """
 
+from repro.atomicio import REAL_IO
+from repro.conceptbase import ConceptBase
 from repro.decisions import JustificationGraph
+from repro.obs.metrics import MetricsRegistry
+from repro.propositions.wal import WalStore, encode_record, scan_records
 from repro.server.client import LocalClient
 from repro.server.service import GKBMSService
 
@@ -38,6 +47,9 @@ TARGET = f"d{DECISIONS // 2 - 2}"
 #: History length, and ops per kind, for the graph-work gate.
 WORK_DECISIONS = 1000
 WORK_DECIDES, WORK_BACKTRACKS, WORK_HISTORIES = 50, 10, 10
+#: Decides for the WAL-bytes gate, and the least saving per decide
+#: against the older log format (the delta repeated in each record).
+WAL_DECIDES, WAL_SAVING = 200, 0.25
 
 
 def _grow_history(client, count):
@@ -160,3 +172,57 @@ def test_decide_graph_work_counts(monkeypatch, perf_counters):
         graph_links_per_decide=counts["links"] / WORK_DECIDES,
     )
     client.close()
+
+
+def test_wal_bytes_per_decide_counts(tmp_path, perf_counters):
+    path = str(tmp_path / "decide.wal")
+    store = WalStore(path, registry=MetricsRegistry())
+    service = GKBMSService(ConceptBase(store=store), batch_window=0.0)
+    client = LocalClient(service)
+    client.tell("TELL Artifact IN SimpleClass WITH\n"
+                "  attribute from : Artifact\nEND")
+    client.tell("TELL Note IN SimpleClass END")
+    client.tell("TELL Root IN Artifact END")
+    start = store.log_offset
+    artifacts = ["Root"]
+    for n in range(WAL_DECIDES):
+        # decision-history's shape: one artifact linked FROM a recent
+        # one, plus 0, 1 or 2 notes in turn
+        source = artifacts[-1 - (7 * n) % min(len(artifacts), 40)]
+        name = f"Art{n}"
+        tell = [f"TELL {name} IN Artifact WITH\n  from from : {source}\nEND"]
+        tell += [f"TELL {name}n{j} IN Note END" for j in range((n + 1) % 3)]
+        dclass = ("DecMap", "DecRefine", "DecChoose")[n % 3]
+        client.decide(dclass, kind=("mapping", "refinement", "choice")[n % 3],
+                      tool=dclass[3:] + "Tool", tell=tell,
+                      inputs={"source": source},
+                      rationale=f"seeded decision {n}")
+        artifacts.append(name)
+    ledger = service.decisions.ledger
+    logged = store.log_offset - start
+    records, _offset, corruption = scan_records(REAL_IO.read_bytes(path))
+    assert corruption == ""
+    decisions = [payload["record"] for _end, payload in records
+                 if payload["op"] == "decision"]
+    assert len(decisions) == WAL_DECIDES
+    assert not any("delta" in record for record in decisions)
+    # The same log in the older format: each decision record re-encoded
+    # with its ledger record's delta.
+    older = logged + sum(
+        len(encode_record({"op": "decision", "record": dict(
+            record, delta=ledger.get(record["did"]).to_json()["delta"])}))
+        - len(encode_record({"op": "decision", "record": record}))
+        for record in decisions)
+    per_decide, older_per_decide = logged / WAL_DECIDES, older / WAL_DECIDES
+    assert per_decide <= (1 - WAL_SAVING) * older_per_decide, (
+        f"{per_decide:.0f} WAL bytes per decide against "
+        f"{older_per_decide:.0f} with the delta logged twice"
+    )
+    perf_counters(
+        wal_decides=WAL_DECIDES,
+        wal_bytes_per_decide=round(per_decide),
+        wal_bytes_per_decide_delta_twice=round(older_per_decide),
+        wal_saving_pct=round(100 * (1 - per_decide / older_per_decide), 1),
+    )
+    client.close()
+    store.close()

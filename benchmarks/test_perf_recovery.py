@@ -21,8 +21,6 @@ unsynced bytes lost to the power cut, and the supervisor's restart and
 recovery totals.
 """
 
-import pytest
-
 from repro.conceptbase import ConceptBase
 from repro.faults import FaultPlan, FaultyIO
 from repro.obs.metrics import MetricsRegistry

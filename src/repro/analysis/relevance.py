@@ -34,7 +34,6 @@ from repro.assertions.ast import (
     Not,
     PathTerm,
     Quantifier,
-    SimpleTerm,
     Term,
 )
 from repro.deduction.terms import Constant, Literal, Rule

@@ -75,10 +75,11 @@ class DecisionHistory:
         self._g_nodes = ns.gauge("graph_nodes")
         self._g_edges = ns.gauge("graph_edges")
         self._tracer = tracer
-        #: Durable stores carry the ledger across restarts; rebuilding
-        #: from ``decision_log`` here is the whole recovery story.
+        #: A durable store hands over the ledger it recovered, once, and
+        #: reads this one back through the binding when it checkpoints.
         if isinstance(self.store, WalStore):
-            self.ledger = DecisionLedger.from_wire_log(self.store.decision_log)
+            self.ledger = DecisionLedger.from_wire_log(self.store.bind_ledger(
+                lambda: [record.to_json() for record in self.ledger]))
         else:
             self.ledger = DecisionLedger()
         self._refresh_gauges()
@@ -112,25 +113,20 @@ class DecisionHistory:
         """Execute one decide spec (canonical JSON) transactionally."""
         spec = json.loads(arg)
         self._validate_spec(spec)
-        durable = isinstance(self.store, WalStore)
         did = self.ledger.next_did()
-        record: Optional[LedgerRecord] = None
         with self.tracer.span("decisions.decide", did=did,
                               decision_class=spec["decision_class"]):
-            try:
-                with self.cb.transaction() as telling:
-                    for source in spec.get("tell") or []:
-                        self.cb.tell(source)
-                    for name in spec.get("untell") or []:
-                        self.cb.untell(name)
-                    record = self._record_from_telling(did, spec,
-                                                       telling.ops)
-                    if durable:
-                        self.store.append_decision(record.to_json())
-            except BaseException:
-                if durable and record is not None:
-                    self.store.rollback_decision(did)
-                raise
+            with self.cb.transaction() as telling:
+                for source in spec.get("tell") or []:
+                    self.cb.tell(source)
+                for name in spec.get("untell") or []:
+                    self.cb.untell(name)
+                record = self._record_from_telling(did, spec, telling.ops)
+                if isinstance(self.store, WalStore):
+                    self.store.append_decision(record.to_json())
+        # Only a committed decide reaches the ledger, so an aborted one
+        # leaves nothing in memory to undo; the log's abort marker
+        # discards its record on replay.
         self.ledger.append(record)
         self._c_recorded.inc()
         self._refresh_gauges()
@@ -194,30 +190,22 @@ class DecisionHistory:
         durable = isinstance(self.store, WalStore)
         tick = self.ledger.next_tick()
         reapplied = 0
-        marked: List[str] = []
         with self.tracer.span("decisions.backtrack", did=did,
                               condemned=len(victims)):
-            try:
-                with self.cb.transaction():
-                    for victim in victims:
-                        reapplied += self._undo_delta(victim)
-                        if durable:
-                            self.store.append_decision_retract(victim.did,
-                                                               tick)
-                        marked.append(victim.did)
-            except BaseException:
-                if durable:
-                    for victim_did in marked:
-                        self.store.rollback_decision_retract(victim_did)
-                raise
-        for victim_did in marked:
-            self.ledger.mark_retracted(victim_did, tick)
-        self._c_backtracked.inc(len(marked))
+            with self.cb.transaction():
+                for victim in victims:
+                    reapplied += self._undo_delta(victim)
+                    if durable:
+                        self.store.append_decision_retract(victim.did, tick)
+        # As with a decide, the marks land only after the commit.
+        for victim in victims:
+            self.ledger.mark_retracted(victim.did, tick)
+        self._c_backtracked.inc(len(victims))
         self._refresh_gauges()
         return {
             "did": did,
             "tick": tick,
-            "retracted": marked,
+            "retracted": [victim.did for victim in victims],
             "reapplied": reapplied,
         }
 

@@ -11,9 +11,10 @@ marks it ``retracted`` and appends a retraction event to the same WAL,
 so the full decision history (including the paths not taken) survives
 any crash and is reconstructible from the log alone.
 
-The in-memory ledger is a thin typed view over exactly what
-:class:`~repro.propositions.wal.WalStore` persists in its
-``decision_log``; :meth:`LedgerRecord.to_json` /
+The ledger is the one in-memory copy of that history: a durable
+:class:`~repro.propositions.wal.WalStore` hands over the records it
+recovered when :class:`~repro.decisions.DecisionHistory` binds it, and
+reads the ledger back at checkpoint; :meth:`LedgerRecord.to_json` /
 :meth:`LedgerRecord.from_json` round-trip losslessly.
 """
 
@@ -124,7 +125,7 @@ class LedgerRecord:
         }
 
     def to_json(self) -> Dict[str, Any]:
-        """Lossless, JSON-able form — exactly what rides the WAL."""
+        """Lossless, JSON-able form (the WAL logs it less its delta)."""
         return {
             "did": self.did,
             "tick": self.tick,
@@ -302,11 +303,11 @@ class DecisionLedger:
         return {"versions": versions, **configurations}
 
     @classmethod
-    def from_wire_log(cls, decision_log: List[Dict[str, Any]]
+    def from_wire_log(cls, records: List[Dict[str, Any]]
                       ) -> "DecisionLedger":
-        """Rebuild the typed ledger from a recovered
-        :attr:`~repro.propositions.wal.WalStore.decision_log`."""
+        """Rebuild the typed ledger from wire records (those a WAL
+        recovered, or a saved GKBMS's)."""
         ledger = cls()
-        for item in decision_log:
+        for item in records:
             ledger.append(LedgerRecord.from_json(item))
         return ledger

@@ -11,7 +11,7 @@ form-based counterpart of the object transformer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.errors import PropositionError

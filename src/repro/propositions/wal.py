@@ -17,7 +17,7 @@ payload, then the payload (canonical JSON).  Payloads are one of::
     {"op": "delete", "pid": "..."}
     {"op": "clip",   "prop": {...}}            # replace (validity clip)
     {"op": "txn",    "kind": "begin|commit|abort|save|release|rollback"}
-    {"op": "decision", "record": {...}}        # decision-ledger entry
+    {"op": "decision", "record": {...}}        # ledger entry (see below)
     {"op": "decision_retract", "did": "...", "tick": T}
 
 The two ``decision`` payloads carry the decision-history subsystem
@@ -25,6 +25,13 @@ The two ``decision`` payloads carry the decision-history subsystem
 transaction that applied its proposition delta, so recovery's
 transaction buffering makes record-plus-delta atomic — a decision is
 either durable together with its consequences or discarded with them.
+In a top-level transaction the record omits its ``delta``: replay
+rebuilds it from the ``create``/``delete``/``clip`` records the same
+transaction applied before it, so each change is logged once.  A record
+that carries ``delta`` (older logs, nested decides) is read as it is;
+snapshots keep whole records.  Recovered records wait in the store only
+until a :class:`~repro.decisions.DecisionHistory` binds it
+(:meth:`WalStore.bind_ledger`); its ledger is the one in-memory copy.
 
 **Recovery.**  Opening a store loads the newest *valid* snapshot (the
 current one, else the previous — both checksummed envelopes written
@@ -60,7 +67,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.atomicio import (
     FileIO,
@@ -193,11 +200,10 @@ class WalStore(PropositionStore):
         self._c = {name: self._metrics.counter(name) for name in self.COUNTERS}
         #: Dict-compatible view over the ``wal.*`` counters.
         self.stats: StatsView = StatsView(self._metrics)
-        #: The durable decision ledger, in append order (dicts as they
-        #: appeared on the log; :mod:`repro.decisions` rebuilds its
-        #: typed ledger from exactly this list after recovery).
-        self.decision_log: List[Dict[str, Any]] = []  # guarded-by: <writer>
-        self._decision_index: Dict[str, Dict[str, Any]] = {}  # guarded-by: <writer>
+        #: Decision records recovered from snapshot and log, did ->
+        #: record in append order; held only until :meth:`bind_ledger`.
+        self._recovered: Dict[str, Dict[str, Any]] = {}  # guarded-by: <writer>
+        self._ledger_source = None  # guarded-by: <writer>
         self._recover()
 
     @property
@@ -313,7 +319,7 @@ class WalStore(PropositionStore):
     # Recovery
     # ------------------------------------------------------------------
 
-    def _load_snapshot(self) -> int:
+    def _load_snapshot(self) -> int:  # runs-on: writer
         """Load the newest valid snapshot into state; return its
         generation (0 when starting empty)."""
         for fallback, path in enumerate(
@@ -333,8 +339,8 @@ class WalStore(PropositionStore):
                 props = [proposition_from_json(item)
                          for item in payload["propositions"]]
                 # Older snapshots predate the decision ledger.
-                decisions = [dict(item)
-                             for item in payload.get("decisions") or []]
+                decisions = {item["did"]: dict(item)
+                             for item in payload.get("decisions") or []}
             except (KeyError, TypeError, ValueError, PropositionError):
                 self._c["checksum_failures"].inc()
                 continue
@@ -342,27 +348,38 @@ class WalStore(PropositionStore):
                 self._c["snapshot_fallbacks"].inc()
             for prop in props:
                 self._state.create(prop)
-            for item in decisions:
-                self._remember_decision(item)
+            # Replay's index: a logged retraction may name one of these.
+            self._recovered = decisions
             return generation
         return 0
 
-    def _apply(self, record: Dict[str, Any]) -> None:
-        from repro.propositions.serialization import proposition_from_json
+    def _apply(self, record: Dict[str, Any],  # runs-on: writer
+               delta: List[List[Any]]) -> None:
+        """Apply one replayed record; ``delta`` gathers its committed
+        transaction's changes for a ``decision`` logged without one."""
+        from repro.propositions.serialization import (
+            proposition_from_json, proposition_to_json)
 
         op = record.get("op")
         if op == "create":
             self._state.create(proposition_from_json(record["prop"]))
+            delta.append(["create", record["prop"]])
         elif op == "delete":
-            self._state.delete(record["pid"])
+            old = self._state.delete(record["pid"])
+            delta.append(["delete", proposition_to_json(old)])
         elif op == "clip":
             prop = proposition_from_json(record["prop"])
-            self._state.delete(prop.pid)
+            old = self._state.delete(prop.pid)
             self._state.create(prop)
+            delta.append(["clip", proposition_to_json(old), record["prop"]])
         elif op == "decision":
-            self._remember_decision(dict(record["record"]))
+            item = dict(record["record"])
+            item.setdefault("delta", list(delta))
+            self._recovered[item["did"]] = item
         elif op == "decision_retract":
-            self._mark_decision_retracted(record["did"], record.get("tick"))
+            item = self._recovered[record["did"]]
+            item["status"] = "retracted"
+            item["retracted_tick"] = record.get("tick")
         else:
             raise PropositionError(f"unknown WAL op {op!r}")
 
@@ -388,8 +405,9 @@ class WalStore(PropositionStore):
                         if stack:
                             stack[-1].extend(buffered)
                         else:
+                            delta: List[List[Any]] = []
                             for item in buffered:
-                                self._apply_counted(item)
+                                self._apply_counted(item, delta)
                     if not stack:
                         applied_offset = end_offset
                 elif kind in ("abort", "rollback"):
@@ -401,14 +419,15 @@ class WalStore(PropositionStore):
             if stack:
                 stack[-1].append(record)
             else:
-                self._apply_counted(record)
+                self._apply_counted(record, [])
                 applied_offset = end_offset
         self._c["discarded_uncommitted"].inc(sum(len(b) for b in stack))
         return applied_offset
 
-    def _apply_counted(self, record: Dict[str, Any]) -> None:
+    def _apply_counted(self, record: Dict[str, Any],
+                       delta: List[List[Any]]) -> None:
         try:
-            self._apply(record)
+            self._apply(record, delta)
         except (PropositionError, KeyError, TypeError):
             self._c["replay_errors"].inc()
         else:
@@ -418,57 +437,35 @@ class WalStore(PropositionStore):
     # The decision ledger (repro.decisions rides the same log)
     # ------------------------------------------------------------------
 
-    def _remember_decision(self, record: Dict[str, Any]) -> None:  # runs-on: writer
-        did = record.get("did")
-        existing = self._decision_index.get(did) if did is not None else None
-        if existing is not None:
-            # Replaying a log on top of a snapshot that already holds
-            # the record: the log copy wins (it is at least as new).
-            existing.update(record)
-            return
-        self.decision_log.append(record)
-        if did is not None:
-            self._decision_index[did] = record
-
-    def _mark_decision_retracted(self, did: str, tick: Any) -> None:  # runs-on: writer
-        record = self._decision_index.get(did)
-        if record is None:
-            raise PropositionError(
-                f"decision_retract for unknown decision {did!r}"
+    def bind_ledger(  # runs-on: writer
+            self, source: Callable[[], List[Dict[str, Any]]]
+    ) -> List[Dict[str, Any]]:
+        """Hand the recovered decision records to the one in-memory
+        ledger, once; :meth:`checkpoint` reads it back via ``source``.
+        A second ledger would start empty and lose the first's."""
+        if self._ledger_source is not None:
+            raise PersistenceError(
+                f"WAL {self._path!r} already has a decision ledger bound"
             )
-        record["status"] = "retracted"
-        record["retracted_tick"] = tick
+        self._ledger_source = source
+        recovered, self._recovered = list(self._recovered.values()), {}
+        return recovered
 
     def append_decision(self, record: Dict[str, Any]) -> None:  # runs-on: writer
         """Log one decision-ledger record (JSON-serializable dict).
 
         Called *inside* the transaction that applied the decision's
         proposition delta, so the txn buffering in :meth:`_replay` makes
-        the pair atomic across a crash."""
+        the pair atomic across a crash.  In a top-level transaction the
+        delta is exactly the transaction's own physical records, so it
+        is not logged a second time."""
+        if self._txn_depth == 1:
+            record = {k: v for k, v in record.items() if k != "delta"}
         self._append({"op": "decision", "record": record})
-        self._remember_decision(dict(record))
 
     def append_decision_retract(self, did: str, tick: Any) -> None:  # runs-on: writer
         """Log a decision retraction (selective backtracking)."""
         self._append({"op": "decision_retract", "did": did, "tick": tick})
-        self._mark_decision_retracted(did, tick)
-
-    def rollback_decision(self, did: str) -> None:  # runs-on: writer
-        """Drop an in-memory ledger entry whose enclosing transaction
-        aborted — the log's abort marker already discards the logged
-        record on replay, this re-aligns the live copy."""
-        record = self._decision_index.pop(did, None)
-        if record is not None:
-            self.decision_log.remove(record)
-
-    def rollback_decision_retract(self, did: str) -> None:  # runs-on: writer
-        """Undo an in-memory retraction mark after its transaction
-        aborted (only active decisions can be marked, so the prior
-        state is always ``done``)."""
-        record = self._decision_index.get(did)
-        if record is not None:
-            record["status"] = "done"
-            record["retracted_tick"] = None
 
     def _recover(self) -> None:  # runs-on: writer
         with self.tracer.span("wal.recover", path=self._path) as span:
@@ -525,6 +522,7 @@ class WalStore(PropositionStore):
         """
         dropped = self._c["wal_records"].value - self._records_at_checkpoint
         new_generation = self._generation + 1
+        source = self._ledger_source
         with self.tracer.span("wal.checkpoint", generation=new_generation,
                               dropped=dropped):
             payload = {
@@ -532,7 +530,8 @@ class WalStore(PropositionStore):
                 "propositions": [
                     json.loads(row) for row in self.rows()
                 ],
-                "decisions": [dict(item) for item in self.decision_log],
+                "decisions": (source() if source is not None
+                              else list(self._recovered.values())),
             }
             try:
                 if self._io.exists(self.snapshot_path):

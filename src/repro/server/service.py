@@ -35,7 +35,6 @@ from repro.errors import (
     CommitConflict,
     DecisionError,
     ProtocolError,
-    ReproError,
     ServerError,
     ServerReadOnly,
     ServerRestarting,
@@ -701,11 +700,11 @@ class GKBMSService:
         with self._rwlock.write_locked():
             self.cb = cb
             store = cb.propositions.store
-            # A recovered WAL's decision_log *is* the ledger, so the
-            # successor engine rebuilds from it.  A memory-backed base
-            # arrives empty and is rebuilt from the acked commit log,
-            # decisions included: either way every acked commit
-            # survives the restart.
+            # A recovered WAL hands its ledger to the successor engine
+            # when the engine binds it.  A memory-backed base arrives
+            # empty and is rebuilt from the acked commit log, decisions
+            # included: either way every acked commit survives the
+            # restart.
             self.decisions = DecisionHistory(cb, tracer=self._tracer)
             if not isinstance(store, WalStore):
                 for _seq, _sid, ops in state.get("commit_log", []):

@@ -608,6 +608,10 @@ class AsyncGKBMSServer:
                 response = error_response(
                     frame.get("id"), ServerError(f"server stopping: {exc}")
                 )
+            finally:
+                # The slot covers the service call only, as on the
+                # threaded transport, so a reply never outruns it.
+                service.admission.release(session)
             if frame.get("op") == "hello" and response.get("ok"):
                 granted = (response.get("result") or {}).get("protocol", 1)
                 conn.pipelined = bool(
@@ -618,7 +622,6 @@ class AsyncGKBMSServer:
             if key is not None:
                 conn.inflight.pop(key, None)
                 conn.notify_slot()
-            service.admission.release(session)
 
     async def _send(self, conn: _AsyncConnection,
                     response: Dict[str, Any]) -> None:

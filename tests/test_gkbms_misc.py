@@ -114,7 +114,7 @@ class TestExplanationMisc:
 
     def test_explain_manual_decision(self, gkbms):
         gkbms.processor.tell_individual("HandMade", in_class="DBPL_Rel")
-        record = gkbms.execute(
+        gkbms.execute(
             "DBPL_MappingDec", {"source": "Things"},
             outputs={"result": ["HandMade"]}, actor="rose",
         )

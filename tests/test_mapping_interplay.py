@@ -34,7 +34,7 @@ class TestNormalizeOverDistribute:
         they reference must re-point them, keeping the module loadable."""
         gkbms.execute("DecDistribute", {"hierarchy": "Root"},
                       tool="DistributeMapper")
-        record = gkbms.execute(
+        gkbms.execute(
             "DecNormalize", {"relation": "BranchRel"}, tool="Normalizer",
         )
         # the selector guarding BranchRel (as source) moved to the base

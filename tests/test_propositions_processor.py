@@ -117,7 +117,7 @@ class TestRetraction:
         assert proc.epoch > before
 
     def test_clip_validity(self, proc):
-        p = proc.tell_individual("v", time=Interval.since(0))
+        proc.tell_individual("v", time=Interval.since(0))
         clipped = proc.clip_validity("v", 100)
         assert clipped.time.contains_point(50)
         assert not clipped.time.contains_point(100)

@@ -10,7 +10,6 @@ poison deadlines, graceful drain, and the chaos ``client_drop`` kind.
 import json
 import signal
 import socket
-import threading
 import time
 
 import pytest
@@ -20,7 +19,7 @@ from repro.errors import ConnectionLost, ServerError
 from repro.obs.metrics import MetricsRegistry
 from repro.propositions.wal import WalStore
 from repro.scenario.chaos import ChaosHarness
-from repro.server.client import PipelinedTCPClient, RetryPolicy, TCPClient
+from repro.server.client import PipelinedTCPClient, TCPClient
 from repro.server.protocol import MAX_FRAME, PROTOCOL_VERSION
 from repro.server.service import GKBMSService
 from repro.server.tcp import AsyncGKBMSServer
@@ -206,6 +205,29 @@ class TestPipeliningSemantics:
         finally:
             service._dispatch = orig
             tcp.close()
+
+    def test_admission_slot_is_free_before_the_reply_is_written(
+            self, server):
+        """The admission slot covers the service call only, as on the
+        threaded transport: when a lone lockstep request's reply is
+        written, nothing is in flight any more."""
+        client = TCPClient(server.host, server.port)
+        seen = []
+        send = server._send
+
+        async def spying_send(conn, response):
+            seen.append(
+                server.service.registry.snapshot().get("server.in_flight"))
+            await send(conn, response)
+
+        server._send = spying_send
+        try:
+            for _ in range(3):
+                assert client.ping()["pong"] is True
+        finally:
+            del server._send
+            client.close()
+        assert seen == [0, 0, 0]
 
     def test_submit_after_drop_raises_typed(self, server):
         client = PipelinedTCPClient(server.host, server.port)

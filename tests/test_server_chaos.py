@@ -41,7 +41,6 @@ from repro.faults import FaultPlan, FaultyIO
 from repro.obs.metrics import MetricsRegistry
 from repro.propositions.wal import WalStore
 from repro.scenario.chaos import (
-    FAULT_KINDS,
     STRICT_KINDS,
     ChaosHarness,
     PowerCutIO,

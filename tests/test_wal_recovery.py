@@ -12,6 +12,12 @@ process at the Nth IO op.  Because record bytes depend only on the
 seeded op sequence, the oracle entry with the largest offset that still
 fits in the surviving file *is* the expected recovered state, exactly.
 
+The same sweep drives decision traffic (decides that tell and untell,
+backtracks, aborted decides) through a
+:class:`~repro.decisions.DecisionHistory`, whose oracle adds the ledger
+JSON: a decision's delta is logged once, in its transaction's physical
+records, and recovery must rebuild it exactly.
+
 Seeded via ``FAULT_SEED`` (CI runs a small seed matrix).  When
 ``RECOVERY_COUNTERS`` names a file, aggregated recovery counters are
 dumped there for the non-gating CI artifact.
@@ -23,17 +29,22 @@ import random
 
 import pytest
 
+from repro.conceptbase import ConceptBase
 from repro.core.gkbms import GKBMS
-from repro.errors import PersistenceError
+from repro.decisions import DecisionHistory
+from repro.errors import PersistenceError, ReproError
 from repro.obs.metrics import MetricError
 from repro.faults import CrashPoint, FaultPlan, FaultyIO, WriteFault
 from repro.propositions import PropositionProcessor, WalStore
 from repro.propositions.proposition import individual
-from repro.propositions.wal import scan_records
+from repro.propositions.serialization import proposition_to_json
+from repro.propositions.wal import encode_record, scan_records
 from repro.scenario.workload import DesignEvolutionWorkload
+from repro.timecalc import Interval
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 KILL_POINTS = 55  # acceptance floor is 50 randomized kill points
+DECISION_KILL_POINTS = 40
 
 #: Aggregated across tests, dumped by the module fixture for CI.
 RECOVERY_COUNTERS = {
@@ -132,6 +143,70 @@ def run_history(io=None, path=None, seed=FAULT_SEED, tellings=28):
     return store, commits
 
 
+def _ledger_json(history):
+    return json.dumps([record.to_json() for record in history.ledger],
+                      sort_keys=True)
+
+
+def run_decision_history(io=None, path=None, seed=FAULT_SEED, steps=24):
+    """Drive a seeded decision history through a DecisionHistory over a
+    WalStore.
+
+    Four decides and a checkpoint come first, so later backtracks can
+    retract decisions the snapshot holds.  Each step then backtracks an
+    active decision or decides: it tells an artifact linked FROM a live
+    one plus 0-2 notes, may untell a note, and now and then untells a
+    missing object, so its transaction aborts.  Returns ``(store,
+    history, oracle)``; the oracle is ``(log_offset, rows, ledger
+    JSON)`` after the checkpoint and after every step.
+    """
+    store = WalStore(path, fsync="commit", io=io)
+    cb = ConceptBase(store=store)
+    history = DecisionHistory(cb)
+    with cb.transaction():
+        cb.tell("TELL Artifact IN SimpleClass WITH\n"
+                "  attribute from : Artifact\nEND")
+        cb.tell("TELL Note IN SimpleClass END")
+        cb.tell("TELL Root IN Artifact END")
+    rng = random.Random(seed)
+    artifacts, notes = ["Root"], []
+
+    def decide(step):
+        live = [name for name in artifacts if cb.propositions.exists(name)]
+        source = live[-1 - rng.randrange(min(len(live), 5))]
+        name = f"Art{step}"
+        told = [f"{name}n{j}" for j in range(step % 3)]
+        untell = [note for note in notes if cb.propositions.exists(note)]
+        untell = untell[:1] if rng.random() < 0.4 else []
+        if rng.random() < 0.1:
+            untell.append("Ghost")
+        spec = {"decision_class": "Dec", "inputs": {"source": source},
+                "tell": [f"TELL {name} IN Artifact WITH\n"
+                         f"  from from : {source}\nEND"]
+                + [f"TELL {note} IN Note END" for note in told],
+                "untell": untell}
+        try:
+            history.apply_decide(json.dumps(spec, sort_keys=True))
+        except ReproError:
+            return  # the missing object: the decide aborted
+        artifacts.append(name)
+        notes.extend(told)
+
+    for step in range(4):
+        decide(step)
+    store.checkpoint()
+    oracle = [(store.log_offset, store.rows(), _ledger_json(history))]
+    for step in range(4, 4 + steps):
+        active = history.ledger.active()
+        if active and rng.random() < 0.25:
+            target = rng.choice(active).did
+            history.apply_backtrack(json.dumps({"did": target}))
+        else:
+            decide(step)
+        oracle.append((store.log_offset, store.rows(), _ledger_json(history)))
+    return store, history, oracle
+
+
 class TestCrashRecoveryProperty:
     def test_randomized_kill_points_recover_last_commit(self, tmp_path):
         # Fault-free reference run: the oracle, plus the IO-op range.
@@ -175,6 +250,62 @@ class TestCrashRecoveryProperty:
             assert recovered.rows() == expected, (
                 f"kill point {n}: recovered state is not the last commit"
             )
+            _absorb(recovered.stats)
+            recovered.close()
+        RECOVERY_COUNTERS["kill_points"] += len(kills)
+
+    def test_randomized_kill_points_recover_the_decision_ledger(
+            self, tmp_path):
+        probe = FaultyIO(FaultPlan(lying_fsyncs=True))
+        store, _history, oracle = run_decision_history(
+            io=probe, path=str(tmp_path / "ref.wal"))
+        store.close()
+        total_ops = probe.ops
+        boot = FaultyIO(FaultPlan(lying_fsyncs=True))
+        boot_store, _, _ = run_decision_history(
+            io=boot, path=str(tmp_path / "boot.wal"), steps=0)
+        boot_ops = boot.ops
+        boot_store.close()
+
+        candidates = range(boot_ops + 1, total_ops + 1)
+        assert len(candidates) > DECISION_KILL_POINTS
+        rng = random.Random(FAULT_SEED + 777)
+        kills = sorted(rng.sample(candidates, DECISION_KILL_POINTS))
+        backtracked = {}  # oracle index -> (did, rows, ledger JSON)
+        for n in kills:
+            path = str(tmp_path / f"kill{n}.wal")
+            plan = FaultPlan(crash_at=n, torn_writes=True, lying_fsyncs=True,
+                             seed=FAULT_SEED * 1000 + n)
+            with pytest.raises(CrashPoint):
+                run_decision_history(io=FaultyIO(plan), path=path)
+            durable = os.path.getsize(path)
+            last = max(index for index, (offset, _rows, _ledger)
+                       in enumerate(oracle) if offset <= durable)
+            _offset, rows, ledger = oracle[last]
+            recovered = WalStore(path)  # clean IO: the restarted process
+            history = DecisionHistory(ConceptBase(store=recovered))
+            assert recovered.rows() == rows, (
+                f"kill point {n}: recovered state is not the last commit")
+            assert _ledger_json(history) == ledger, (
+                f"kill point {n}: recovered ledger (deltas included) is "
+                f"not the last durable one")
+            # The rebuilt deltas still undo exactly: backtracking the
+            # oldest active decision matches a live history stopped at
+            # the same op doing the same.
+            active = history.ledger.active()
+            if active:
+                did = active[0].did
+                if last not in backtracked:
+                    ref_store, ref, _ = run_decision_history(
+                        path=str(tmp_path / f"ref{last}.wal"), steps=last)
+                    ref.apply_backtrack(json.dumps({"did": did}))
+                    backtracked[last] = (ref_store.rows(), _ledger_json(ref))
+                    ref_store.close()
+                history.apply_backtrack(json.dumps({"did": did}))
+                assert (recovered.rows(), _ledger_json(history)) == \
+                    backtracked[last], (
+                        f"kill point {n}: backtracking {did} after "
+                        f"recovery diverged from the live history")
             _absorb(recovered.stats)
             recovered.close()
         RECOVERY_COUNTERS["kill_points"] += len(kills)
@@ -320,6 +451,89 @@ class TestCheckpointRecovery:
         assert "third_era" not in recovered
         _absorb(recovered.stats)
         recovered.close()
+
+
+class TestDecisionLog:
+    def test_replay_rebuilds_create_delete_and_clip_deltas(self, tmp_path):
+        path = str(tmp_path / "delta.wal")
+        store = WalStore(path)
+        proc = PropositionProcessor(store=store)
+        with proc.telling():
+            proc.tell_individual("Old", time=Interval.since(0))
+            proc.tell_individual("Gone")
+        with proc.telling() as telling:
+            proc.tell_individual("New")
+            proc.retract("Gone")
+            proc.clip_validity("Old", 100)
+            delta = [[op[0]] + [proposition_to_json(p) for p in op[1:]]
+                     for op in telling.ops]
+            store.append_decision({"did": "d1", "tick": 1,
+                                   "decision_class": "Dec", "delta": delta})
+        store.close()
+        assert [op[0] for op in delta] == ["create", "delete", "clip"]
+        records, _offset, _corruption = scan_records(open(path, "rb").read())
+        [logged] = [payload["record"] for _end, payload in records
+                    if payload["op"] == "decision"]
+        assert "delta" not in logged
+        recovered = WalStore(path)
+        [record] = recovered.bind_ledger(lambda: [])
+        assert record["delta"] == delta
+        recovered.close()
+
+    def test_log_with_deltas_in_decision_records_recovers_unchanged(
+            self, tmp_path):
+        """Logs written before a decision's delta was logged once carry
+        it in every ``decision`` record; they are read as they are."""
+        path = str(tmp_path / "new.wal")
+        store, history, oracle = run_decision_history(path=path)
+        deltas = {record.did: record.to_json()["delta"]
+                  for record in history.ledger}
+        store.close()
+        old = str(tmp_path / "old.wal")
+        records, _offset, corruption = scan_records(open(path, "rb").read())
+        assert corruption == ""
+        with open(old, "wb") as handle:
+            for _end, payload in records:
+                if payload["op"] == "decision":
+                    record = payload["record"]
+                    assert "delta" not in record
+                    record["delta"] = deltas[record["did"]]
+                handle.write(encode_record(payload))
+        for suffix in (".snapshot", ".snapshot.prev"):
+            if os.path.exists(path + suffix):
+                os.replace(path + suffix, old + suffix)
+        _offset, rows, ledger = oracle[-1]
+        recovered = WalStore(old)
+        assert recovered.rows() == rows
+        assert _ledger_json(DecisionHistory(ConceptBase(store=recovered))) \
+            == ledger
+        recovered.close()
+
+    def test_decide_nested_in_a_transaction_keeps_its_delta(self, tmp_path):
+        """Only a top-level transaction's records are exactly one
+        decision's delta; a nested decide logs its delta whole."""
+        path = str(tmp_path / "nested.wal")
+        store = WalStore(path)
+        cb = ConceptBase(store=store)
+        history = DecisionHistory(cb)
+        with cb.transaction():
+            cb.tell("TELL K IN SimpleClass END")
+            history.apply_decide(json.dumps({
+                "decision_class": "Dec", "tell": ["TELL A IN K END"]}))
+        ledger = _ledger_json(history)
+        store.close()
+        recovered = WalStore(path)
+        assert _ledger_json(DecisionHistory(ConceptBase(store=recovered))) \
+            == ledger
+        recovered.close()
+
+    def test_second_ledger_binding_is_refused(self, tmp_path):
+        store = WalStore(str(tmp_path / "bind.wal"))
+        cb = ConceptBase(store=store)
+        DecisionHistory(cb)
+        with pytest.raises(PersistenceError):
+            DecisionHistory(cb)
+        store.close()
 
 
 class TestCleanFailures:
