@@ -53,6 +53,9 @@ class Backtracker:
 
     def retract(self, did: str) -> BacktrackReport:
         """Selectively backtrack decision ``did`` and its consequents."""
+        if self.gkbms.processor.in_telling:  # its marks would outlive a rollback
+            raise BacktrackError("a backtrack is its own transaction; commit "
+                                 "or abort the open telling first")
         ledger = self.gkbms.ledger
         target = ledger.by_did.get(did)
         if target is None:

@@ -243,6 +243,9 @@ class DecisionEngine:
         objects the developer created manually (which must already be
         told to the knowledge base).
         """
+        if self.processor.in_telling:  # its record would outlive a rollback
+            raise DecisionError("a decision is its own transaction; commit "
+                                "or abort the open telling first")
         dc = self.get(decision_class)
         self.check_applicability(dc, inputs)
         tool_spec: Optional[ToolSpec] = None

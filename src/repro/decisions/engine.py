@@ -109,8 +109,16 @@ class DecisionHistory:
             if parent not in self.ledger.by_did:
                 raise DecisionError(f"unknown parent decision {parent!r}")
 
+    def _refuse_nesting(self, op: str) -> None:
+        # As on the wire: nested in a caller's transaction that later
+        # aborts, the ledger change would outlive the rolled-back delta.
+        if self.proc.in_telling:
+            raise DecisionError(f"{op} is its own transaction; commit or "
+                                f"abort the open one first")
+
     def apply_decide(self, arg: str) -> Dict[str, Any]:  # runs-on: writer
         """Execute one decide spec (canonical JSON) transactionally."""
+        self._refuse_nesting("decide")
         spec = json.loads(arg)
         self._validate_spec(spec)
         did = self.ledger.next_did()
@@ -179,6 +187,7 @@ class DecisionHistory:
     def apply_backtrack(self, arg: str) -> Dict[str, Any]:  # runs-on: writer
         """Retract a decision and its transitive consequents by undoing
         exactly their recorded deltas (newest first, one transaction)."""
+        self._refuse_nesting("backtrack")
         spec = json.loads(arg)
         did = str(spec.get("did", ""))
         record = self.ledger.get(did)

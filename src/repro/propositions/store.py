@@ -324,10 +324,6 @@ class WorkspaceStore(PropositionStore):
         self._location: Dict[str, str] = {}
         self._current = self.DEFAULT
         self._visibility_epoch = 0
-        #: Per-workspace visibility counters: a session overlay's own
-        #: activate/deactivate/remove history, independent of the
-        #: *global* epoch that invalidates processor closure caches.
-        self._workspace_epochs: Dict[str, int] = {self.DEFAULT: 0}
 
     def _new_space(self, name: str) -> MemoryStore:
         # one metrics namespace per partition: "store.<name>.creates" etc.
@@ -355,21 +351,17 @@ class WorkspaceStore(PropositionStore):
             raise PropositionError(f"workspace {name!r} already exists")
         self._spaces[name] = self._new_space(name)
         self._active[name] = active
-        self._workspace_epochs[name] = 0
 
     def remove_workspace(self, name: str) -> int:
         """Discard a partition and everything in it; returns how many
         propositions were dropped.
 
-        This is the session-overlay discard path of the service layer:
-        a session stages uncommitted tellings into its own workspace and
-        aborting must throw them away.  Removing an *inactive* (or
-        empty) workspace bumps only that workspace's own epoch — its
-        content never reached the union view, so processor closure
-        caches stamped against :attr:`visibility_epoch` stay valid and
-        no overlay entry can leak into them.  Removing an active,
-        non-empty workspace does change the visible network, so the
-        global epoch bumps exactly as deactivation would.
+        Removing an *inactive* (or empty) workspace leaves
+        :attr:`visibility_epoch` alone — its content never reached the
+        union view, so processor closure caches stamped against it stay
+        valid.  Removing an active, non-empty workspace does change the
+        visible network, so the epoch bumps exactly as deactivation
+        would.
         """
         if name == self.DEFAULT:
             raise PropositionError("the kernel workspace cannot be removed")
@@ -377,7 +369,6 @@ class WorkspaceStore(PropositionStore):
             raise PropositionError(f"unknown workspace {name!r}")
         space = self._spaces.pop(name)
         was_active = self._active.pop(name)
-        self._workspace_epochs[name] = self._workspace_epochs.get(name, 0) + 1
         dropped = len(space)
         for prop in space:
             self._location.pop(prop.pid, None)
@@ -392,27 +383,11 @@ class WorkspaceStore(PropositionStore):
         """All partition names."""
         return list(self._spaces)
 
-    def workspace_epoch(self, name: str) -> int:
-        """The per-workspace visibility counter: bumped when *this*
-        workspace is activated, deactivated or removed.  Session-scoped
-        caches key on this; the global :attr:`visibility_epoch` moves
-        only when the shared union view changes."""
-        if name not in self._workspace_epochs:
-            raise PropositionError(f"unknown workspace {name!r}")
-        return self._workspace_epochs[name]
-
     def is_active(self, name: str) -> bool:
         """Is the partition part of the union view?"""
         if name not in self._spaces:
             raise PropositionError(f"unknown workspace {name!r}")
         return self._active[name]
-
-    def propositions_in(self, name: str) -> List[Proposition]:
-        """The propositions stored in one partition, active or not —
-        how a session enumerates its staged overlay write-set."""
-        if name not in self._spaces:
-            raise PropositionError(f"unknown workspace {name!r}")
-        return list(self._spaces[name])
 
     def set_current(self, name: str) -> None:
         """Direct new propositions into a partition."""
@@ -426,7 +401,6 @@ class WorkspaceStore(PropositionStore):
             raise PropositionError(f"unknown workspace {name!r}")
         if not self._active[name]:
             self._visibility_epoch += 1
-            self._workspace_epochs[name] = self._workspace_epochs.get(name, 0) + 1
             self._c_activations.inc()
         self._active[name] = True
 
@@ -438,7 +412,6 @@ class WorkspaceStore(PropositionStore):
             raise PropositionError("the kernel workspace cannot be deactivated")
         if self._active[name]:
             self._visibility_epoch += 1
-            self._workspace_epochs[name] = self._workspace_epochs.get(name, 0) + 1
             self._c_deactivations.inc()
         self._active[name] = False
 

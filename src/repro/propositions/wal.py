@@ -25,10 +25,11 @@ The two ``decision`` payloads carry the decision-history subsystem
 transaction that applied its proposition delta, so recovery's
 transaction buffering makes record-plus-delta atomic — a decision is
 either durable together with its consequences or discarded with them.
-In a top-level transaction the record omits its ``delta``: replay
-rebuilds it from the ``create``/``delete``/``clip`` records the same
-transaction applied before it, so each change is logged once.  A record
-that carries ``delta`` (older logs, nested decides) is read as it is;
+A decide is a top-level transaction (a nested one is refused), so the
+record omits its ``delta``: replay rebuilds it from the ``create``/
+``delete``/``clip`` records the same transaction applied before it, so
+each change is logged once.  A record that carries ``delta`` (older
+logs, nested decides from before the refusal) is still read as it is;
 snapshots keep whole records.  Recovered records wait in the store only
 until a :class:`~repro.decisions.DecisionHistory` binds it
 (:meth:`WalStore.bind_ledger`); its ledger is the one in-memory copy.
@@ -456,9 +457,9 @@ class WalStore(PropositionStore):
 
         Called *inside* the transaction that applied the decision's
         proposition delta, so the txn buffering in :meth:`_replay` makes
-        the pair atomic across a crash.  In a top-level transaction the
-        delta is exactly the transaction's own physical records, so it
-        is not logged a second time."""
+        the pair atomic across a crash.  A decide runs only top-level
+        (nested ones are refused), where the delta is exactly the
+        transaction's own physical records, so it is not logged again."""
         if self._txn_depth == 1:
             record = {k: v for k, v in record.items() if k != "delta"}
         self._append({"op": "decision", "record": record})

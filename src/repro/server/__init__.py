@@ -6,9 +6,9 @@ design decisions they take are documented into it concurrently.  The
 kernel reproduction up to PR 4 is single-caller; this package is the
 serving layer that makes it shared:
 
-- :mod:`repro.server.session` — per-client sessions, each with its own
-  :class:`~repro.propositions.store.WorkspaceStore` overlay for staged
-  (uncommitted) tellings and a pinned read epoch;
+- :mod:`repro.server.session` — per-client sessions, each staging its
+  uncommitted tellings with their write-set keys against a pinned read
+  epoch;
 - :mod:`repro.server.pipeline` — the single-writer commit pipeline:
   session commits funnel through a bounded queue into the proposition
   processor and WAL with **group commit** (one fsync per batch) and
@@ -17,13 +17,13 @@ serving layer that makes it shared:
   in-flight caps, deadlines, typed load shedding
   (:class:`~repro.errors.ServerOverloaded` instead of a stall);
 - :mod:`repro.server.protocol` — the newline-delimited-JSON wire
-  format;
+  format, its op tables and the one framer both transports share;
 - :mod:`repro.server.service` — :class:`GKBMSService`, the in-process
   request handler every transport shares;
 - :mod:`repro.server.client` — :class:`LocalClient` (no sockets) and
   :class:`TCPClient` with the same API;
-- :mod:`repro.server.tcp` — the threaded TCP transport behind
-  ``python -m repro.server``.
+- :mod:`repro.server.tcp` — the threaded and asyncio TCP transports
+  behind ``python -m repro.server``, one wire path under both.
 
 Everything reports into the PR 4 observability substrate under the
 ``server.*`` metrics namespace and ``server.*`` spans.

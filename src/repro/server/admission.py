@@ -28,8 +28,9 @@ same controller instead: :meth:`try_admit` takes a slot or reports
 :meth:`add_resume_callback` registers the transport's wake-up hook —
 fired after every release, it is what lets a paused connection reader
 (the socket the server deliberately stopped reading) schedule its
-retry.  Both halves share the caps, the clock, and the counters, so
-shed/deadline/in-flight observability is transport-independent.
+retry.  The blocking ``admit`` is built from the same parts, with a
+condition wait where the async plane parks a reader, so the caps, the
+clock and the shed/deadline/in-flight counters are one implementation.
 """
 
 from __future__ import annotations
@@ -98,44 +99,30 @@ class AdmissionController:
     @contextmanager
     def admit(self, session: Optional[Session] = None,
               deadline: Optional[float] = None) -> Iterator[None]:
-        """Hold an admission slot for the duration of the block."""
-        with self._cond:
-            if deadline is not None and self._clock() >= deadline:
-                self._c_deadline.inc()
-                raise DeadlineExceeded("deadline expired before admission")
-            if not self._admissible(session):
-                if self._waiting >= self._max_waiting:
-                    self._c_shed.inc()
-                    raise ServerOverloaded(
-                        f"admission queue full "
-                        f"({self._waiting} waiting, "
-                        f"{self._in_flight} in flight)"
+        """Hold an admission slot for the duration of the block.
+
+        The async plane's steps with a blocking wait in the middle:
+        :meth:`try_admit`, else queue as a waiter (:meth:`parked`) until
+        a slot frees or :meth:`wait_budget` runs out."""
+        if not self.try_admit(session, deadline):
+            give_up = self.wait_budget(deadline)
+            with self.parked(), self._cond:
+                while not self._admissible(session):
+                    remaining = give_up - self._clock()
+                    if remaining <= 0:
+                        raise self.wait_expired(deadline, give_up)
+                    self._cond.wait(remaining)
+                # A slot freed, but the wait itself may have consumed
+                # the whole budget: without this re-check a request
+                # whose deadline expired moments before the wakeup
+                # would be admitted anyway and burn worker time on an
+                # answer nobody is waiting for.
+                if deadline is not None and self._clock() >= deadline:
+                    self._c_deadline.inc()
+                    raise DeadlineExceeded(
+                        "deadline expired while queued for admission"
                     )
-                give_up = self._clock() + self._max_wait
-                if deadline is not None:
-                    give_up = min(give_up, deadline)
-                self._waiting += 1
-                self._g_queue_depth.set(self._waiting)
-                try:
-                    while not self._admissible(session):
-                        remaining = give_up - self._clock()
-                        if remaining <= 0:
-                            raise self._wait_expired(deadline, give_up)
-                        self._cond.wait(remaining)
-                    # A slot freed, but the wait itself may have
-                    # consumed the whole budget: without this re-check
-                    # a request whose deadline expired moments before
-                    # the wakeup would be admitted anyway and burn
-                    # worker time on an answer nobody is waiting for.
-                    if deadline is not None and self._clock() >= deadline:
-                        self._c_deadline.inc()
-                        raise DeadlineExceeded(
-                            "deadline expired while queued for admission"
-                        )
-                finally:
-                    self._waiting -= 1
-                    self._g_queue_depth.set(self._waiting)
-            self._take_slot(session)
+                self._take_slot(session)
         try:
             yield
         finally:
@@ -148,10 +135,10 @@ class AdmissionController:
         self._g_in_flight.set(self._in_flight)
         self._c_admitted.inc()
 
-    def _wait_expired(self, deadline: Optional[float],
-                      give_up: float) -> Exception:  # holds: _cond
+    def wait_expired(self, deadline: Optional[float],
+                     give_up: float) -> Exception:
         """Count and build the typed error for an admission wait whose
-        budget ran out (shared by the blocking and async planes)."""
+        budget ran out (both planes; no lock, counters lock themselves)."""
         if deadline is not None and give_up >= deadline:
             self._c_deadline.inc()
             return DeadlineExceeded(
@@ -242,12 +229,6 @@ class AdmissionController:
         if deadline is not None:
             give_up = min(give_up, deadline)
         return give_up
-
-    def wait_expired(self, deadline: Optional[float],
-                     give_up: float) -> Exception:
-        """Public face of :meth:`_wait_expired` for the async plane."""
-        with self._cond:
-            return self._wait_expired(deadline, give_up)
 
     def clock(self) -> float:
         """The controller's (injectable) clock, for budget arithmetic."""

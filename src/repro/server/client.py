@@ -57,16 +57,24 @@ from repro.errors import (
 )
 from repro.server.protocol import (
     PROTOCOL_VERSION,
+    SESSIONLESS,
+    WRITE_OPS,
     decode_frame,
     encode_frame,
     exception_for,
 )
 
-#: Ops whose effect mutates the shared base — retried only with a token.
-_WRITE_OPS = frozenset({"tell", "untell", "commit", "decide", "backtrack"})
-
 #: The transient, typed failures a RetryPolicy may re-submit after.
 RETRYABLE = (ServerOverloaded, ServerRestarting, ConnectionLost)
+
+
+def _result(response: Dict[str, Any]) -> Dict[str, Any]:
+    """A response frame's ``result`` dict; a wire error re-raises typed."""
+    if response.get("ok"):
+        result = response.get("result")
+        return result if isinstance(result, dict) else {}
+    error = response.get("error")
+    raise exception_for(error if isinstance(error, dict) else {})
 
 
 class RetryPolicy:
@@ -105,6 +113,9 @@ class RetryPolicy:
 class _BaseClient:
     """Request numbering, session bookkeeping, typed error raising."""
 
+    #: The params this client's ``hello`` sends.
+    HELLO: Dict[str, Any] = {}
+
     def __init__(self, deadline_ms: Optional[float] = None,
                  retry: Optional[RetryPolicy] = None) -> None:
         #: Default per-request deadline budget (ms); ``None`` = none.
@@ -133,15 +144,16 @@ class _BaseClient:
     def _call(self, op: str, params: Optional[Dict[str, Any]] = None,
               deadline_ms: Optional[float] = None) -> Dict[str, Any]:
         params = dict(params) if params else {}
-        if self.retry is not None and op in _WRITE_OPS \
+        if self.retry is not None and op in WRITE_OPS \
                 and "token" not in params:
             # One token per logical write, shared by all its attempts:
             # this is what makes the retry loop below safe for writes.
             params["token"] = self._new_token()
+        budget = deadline_ms if deadline_ms is not None else self.deadline_ms
         attempt = 1
         while True:
             try:
-                return self._call_once(op, params, deadline_ms)
+                return self._call_once(op, params, budget)
             except RETRYABLE as exc:
                 if not self._can_retry(op, params, attempt):
                     raise
@@ -161,40 +173,48 @@ class _BaseClient:
             return False
         if op == "bye":
             return False  # best-effort farewell; never worth a wait
-        if op in _WRITE_OPS and "token" not in params:
+        if op in WRITE_OPS and "token" not in params:
             return False  # an untokened write retry could double-apply
         return True
 
-    def _call_once(self, op: str, params: Dict[str, Any],
-                   deadline_ms: Optional[float]) -> Dict[str, Any]:
+    def _payload(self, op: str, params: Dict[str, Any],
+                 deadline_ms: Optional[float],
+                 session: Optional[str]) -> Dict[str, Any]:
+        """The next request frame: numbered, bound to ``session`` unless
+        the op is sessionless, carrying ``deadline_ms`` when given."""
         self._req_id += 1
         payload: Dict[str, Any] = {
             "id": self._req_id, "op": op, "params": params,
         }
-        if op not in ("hello", "ping"):
-            if self._session is None:
+        if op not in SESSIONLESS:
+            if session is None:
                 raise ServerError("no session: call hello() first")
-            payload["session"] = self._session
-        budget = deadline_ms if deadline_ms is not None else self.deadline_ms
-        if budget is not None:
-            payload["deadline_ms"] = budget
+            payload["session"] = session
+        if deadline_ms is not None:
+            payload["deadline_ms"] = deadline_ms
+        return payload
+
+    def _call_once(self, op: str, params: Dict[str, Any],
+                   deadline_ms: Optional[float]) -> Dict[str, Any]:
+        """One attempt; ``deadline_ms`` is the request's whole budget
+        (``None``: no deadline)."""
+        payload = self._payload(op, params, deadline_ms, self._session)
         response = self._request(payload)
         if response.get("id") != payload["id"]:
             raise ProtocolError(
                 f"response id {response.get('id')!r} does not match "
                 f"request id {payload['id']!r}"
             )
-        if response.get("ok"):
-            result = response.get("result")
-            return result if isinstance(result, dict) else {}
-        error = response.get("error")
-        raise exception_for(error if isinstance(error, dict) else {})
+        return _result(response)
 
     # -- session -----------------------------------------------------------
 
     def hello(self) -> str:
-        result = self._call("hello")
-        self._session = str(result["session"])
+        return self._opened(self._call("hello", self.HELLO))
+
+    def _opened(self, result: Dict[str, Any]) -> str:
+        """Adopt the session a ``hello`` result grants."""
+        self._session = str(result.get("session"))
         return self._session
 
     def ping(self) -> Dict[str, Any]:
@@ -478,18 +498,9 @@ class TCPClient(_BaseClient):
         dedup across the gap)."""
         self._drop_connection()
         self._connect()
-        # Raw handshake, not self.hello(): the retrying _call must not
+        # One attempt, not self.hello(): the retrying _call must not
         # re-enter itself through the recovery path.
-        self._req_id += 1
-        response = self._request(
-            {"id": self._req_id, "op": "hello", "params": {}}
-        )
-        if response.get("ok"):
-            result = response.get("result") or {}
-            self._session = str(result.get("session"))
-        else:
-            error = response.get("error")
-            raise exception_for(error if isinstance(error, dict) else {})
+        self._opened(self._call_once("hello", dict(self.HELLO), None))
 
     def close(self) -> None:
         try:
@@ -542,12 +553,7 @@ class PendingReply:
 
     def result(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """The unwrapped ``result`` dict; wire errors re-raise typed."""
-        response = self.wait(timeout)
-        if response.get("ok"):
-            result = response.get("result")
-            return result if isinstance(result, dict) else {}
-        error = response.get("error")
-        raise exception_for(error if isinstance(error, dict) else {})
+        return _result(self.wait(timeout))
 
 
 class PipelinedTCPClient(TCPClient):
@@ -679,16 +685,7 @@ class PipelinedTCPClient(TCPClient):
                 raise ConnectionLost(
                     f"not connected to {self._host}:{self._port}"
                 )
-            self._req_id += 1
-            payload: Dict[str, Any] = {
-                "id": self._req_id, "op": op, "params": params,
-            }
-            if op not in ("hello", "ping"):
-                if sid is None:
-                    raise ServerError("no session: call hello() first")
-                payload["session"] = sid
-            if budget is not None:
-                payload["deadline_ms"] = budget
+            payload = self._payload(op, params, budget, sid)
             reply = PendingReply(payload["id"])
             self._pending[payload["id"]] = reply
             try:
@@ -706,9 +703,8 @@ class PipelinedTCPClient(TCPClient):
         # The blocking API is submit-then-wait; id allocation, the
         # response-id match, and the write all happen under the
         # pipeline lock inside submit().
-        budget = deadline_ms if deadline_ms is not None else self.deadline_ms
-        timeout = (budget / 1000.0 + self.DEADLINE_GRACE
-                   if budget is not None else self._timeout)
+        timeout = (deadline_ms / 1000.0 + self.DEADLINE_GRACE
+                   if deadline_ms is not None else self._timeout)
         reply = self.submit(op, params, deadline_ms=deadline_ms)
         try:
             return reply.result(timeout)
@@ -719,19 +715,11 @@ class PipelinedTCPClient(TCPClient):
 
     # -- session -----------------------------------------------------------
 
-    def hello(self) -> str:
-        result = self._call("hello", {"protocol": PROTOCOL_VERSION})
-        self._session = str(result["session"])
-        self.protocol = int(result.get("protocol", 1))
-        return self._session
+    HELLO = {"protocol": PROTOCOL_VERSION}
 
-    def _recover_transport(self) -> None:
-        self._drop_connection()
-        self._connect()
-        reply = self.submit("hello", {"protocol": PROTOCOL_VERSION})
-        result = reply.result(self._timeout)
-        self._session = str(result.get("session"))
+    def _opened(self, result: Dict[str, Any]) -> str:
         self.protocol = int(result.get("protocol", 1))
+        return super()._opened(result)
 
 
 __all__ = [

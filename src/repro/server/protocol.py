@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Optional, Type
+from typing import Any, Dict, List, Optional, Type
 
 from repro import errors as _errors
 from repro.errors import ProtocolError, ReproError
@@ -72,6 +72,25 @@ OPS = (
     "decide", "backtrack", "replay", "history", "versions",
     "explain", "stats", "summary",
 )
+
+#: Ops that carry no session (and tie no admission state to one).
+SESSIONLESS = frozenset({"hello", "ping"})
+
+#: Ops that mutate session state (staged ops, write-set, read epoch).
+#: Admission allows several concurrent requests per session, so these
+#: run under the session's lock for their *whole* duration — a tell
+#: cannot interleave with a commit's snapshot-submit-clear sequence and
+#: be silently dropped, and concurrent commit/abort cannot double-end a
+#: transaction.  Reads deliberately stay outside the lock (they pin an
+#: epoch, not the session).
+SESSION_SERIAL = frozenset(
+    {"begin", "tell", "untell", "commit", "abort", "staged",
+     "decide", "backtrack"}
+)
+
+#: Ops that mutate the shared knowledge base: refused in read-only
+#: degrade, and retried by a client only under an idempotency token.
+WRITE_OPS = frozenset({"tell", "untell", "commit", "decide", "backtrack"})
 
 #: One-line summaries for the README op table; every op MUST have one
 #: (``render_op_table`` below regenerates the table, and a test holds
@@ -116,6 +135,58 @@ def render_op_table() -> str:
     return "\n".join(lines)
 
 
+#: What :meth:`FrameBuffer.feed` yields in place of a line longer than
+#: :data:`MAX_FRAME`; :func:`decode_frame` refuses it typed.
+OVERSIZED = object()
+
+
+class FrameBuffer:
+    """Splits one connection's byte stream into frames; no I/O of its own.
+
+    Both transports :meth:`feed` it whatever the socket returns.  The
+    rest of an oversized line is discarded up to its newline, so its
+    tail is never parsed as spurious frames and the connection stays
+    usable.  At EOF, :attr:`truncated` tells whether a partial frame was
+    cut off — a client that died mid-request, whose fragment must be
+    dropped, never decoded and half-executed.
+    """
+
+    __slots__ = ("_buf", "_skipping")
+
+    def __init__(self) -> None:
+        self._buf = bytearray()  # the incomplete line; holds no newline
+        self._skipping = False   # inside an oversized line
+
+    def feed(self, data: bytes) -> List[Any]:
+        """The lines ``data`` completes, newline included and in order,
+        with :data:`OVERSIZED` in place of a line over :data:`MAX_FRAME`."""
+        buf = self._buf
+        scan = len(buf)  # the old bytes hold no newline
+        buf += data
+        lines: List[Any] = []
+        start = 0
+        nl = buf.find(b"\n", scan)
+        while nl >= 0:
+            if self._skipping or nl - start > MAX_FRAME:
+                lines.append(OVERSIZED)
+                self._skipping = False
+            else:
+                lines.append(bytes(buf[start:nl + 1]))
+            start = nl + 1
+            nl = buf.find(b"\n", start)
+        del buf[:start]
+        if self._skipping or len(buf) > MAX_FRAME:
+            buf.clear()
+            self._skipping = True
+        return lines
+
+    @property
+    def truncated(self) -> bool:
+        """Does a partial frame remain?  The discarded tail of an
+        oversized line does not count (it is never buffered)."""
+        return bool(self._buf)
+
+
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """One wire frame: compact JSON + newline."""
     data = json.dumps(payload, separators=(",", ":"), sort_keys=True)
@@ -124,6 +195,8 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
 
 def decode_frame(line: bytes) -> Dict[str, Any]:
     """Parse one frame; typed errors for every malformation."""
+    if line is OVERSIZED:
+        raise ProtocolError(f"frame exceeds {MAX_FRAME} bytes")
     if len(line) > MAX_FRAME:
         raise ProtocolError(f"frame of {len(line)} bytes exceeds {MAX_FRAME}")
     try:

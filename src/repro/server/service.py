@@ -48,32 +48,15 @@ from repro.propositions.wal import WalStore
 from repro.server.admission import AdmissionController
 from repro.server.pipeline import CommitPipeline, PendingCommit
 from repro.server.protocol import (
+    SESSION_SERIAL,
+    SESSIONLESS,
+    WRITE_OPS,
     error_response,
     negotiate_protocol,
     ok_response,
     validate_request,
 )
 from repro.server.session import Session, SessionManager, StagedOp
-
-#: Ops that run without a session (and without admission state tied to
-#: one).
-_SESSIONLESS = frozenset({"hello", "ping"})
-
-#: Ops that mutate session state (staged ops, overlay, read epoch).
-#: Admission allows several concurrent requests per session, so these
-#: run under the session's lock for their *whole* duration — a tell
-#: cannot interleave with a commit's snapshot-submit-clear sequence and
-#: be silently dropped, and concurrent commit/abort cannot double-end a
-#: transaction.  Reads deliberately stay outside the lock (they pin an
-#: epoch, not the session).
-_SESSION_SERIAL = frozenset(
-    {"begin", "tell", "untell", "commit", "abort", "staged",
-     "decide", "backtrack"}
-)
-
-#: Ops that mutate the shared knowledge base — refused in read-only
-#: degrade (everything else still serves from the recovered state).
-_WRITE_OPS = frozenset({"tell", "untell", "commit", "decide", "backtrack"})
 
 
 def apply_ops(cb: ConceptBase, decisions: DecisionHistory,
@@ -218,7 +201,7 @@ class GKBMSService:
             op = frame["op"]
             params = frame.get("params", {})
             session: Optional[Session] = None
-            if op not in _SESSIONLESS:
+            if op not in SESSIONLESS:
                 session = self.sessions.get(frame.get("session"))
             if deadline is None:
                 deadline = self.admission.deadline_from(
@@ -284,14 +267,14 @@ class GKBMSService:
                 "service is restarting after a durability fault; "
                 "retry shortly (idempotency tokens apply exactly once)"
             )
-        if status == "read_only" and op in _WRITE_OPS:
+        if status == "read_only" and op in WRITE_OPS:
             raise ServerReadOnly(
                 "service degraded to read-only after repeated restart "
                 "failures; writes are refused until operator intervention"
             )
-        if op in _SESSIONLESS:
+        if op in SESSIONLESS:
             return handler(params)
-        if op in _SESSION_SERIAL:
+        if op in SESSION_SERIAL:
             assert session is not None
             with session.lock:
                 return handler(session, params)
@@ -724,10 +707,6 @@ class GKBMSService:
         self._status = "serving"
 
     # ------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        """The server-side metrics snapshot (``server.*`` only)."""
-        return self.registry.snapshot("server")
 
     def __enter__(self) -> "GKBMSService":
         return self

@@ -1,16 +1,14 @@
-"""Sessions: one per connected client, with a staged-write overlay.
+"""Sessions: one per connected client, with a staged write-set.
 
 A session carries exactly the state the shared knowledge base must not:
 the client's *pinned read epoch* (the commit sequence number its open
-transaction read from) and its *overlay* — a private
-:class:`~repro.propositions.store.WorkspaceStore` holding one workspace
-per open transaction, into which the write-set of every staged ``tell``
-and ``untell`` is materialised as stub propositions.  The overlay is
-the unit first-committer-wins validation reads (the touched proposition
-keys) and the unit an ``abort`` throws away:
-:meth:`~repro.propositions.store.WorkspaceStore.remove_workspace`
-discards it without bumping any global epoch, so an aborted transaction
-leaves no trace in the shared processor's closure caches.
+transaction read from) and, while a transaction is open, its private
+workspace — the staged ``tell``/``untell`` ops plus their *write-set*,
+the ordered set of proposition keys they touch.  Nothing staged
+reaches any store before commit: the write-set is the unit
+first-committer-wins validation reads, and ``commit`` or ``abort``
+simply forgets both, so an aborted transaction leaves no trace in the
+shared processor's closure caches.
 
 Admission allows several concurrent requests per session, so session
 state needs its own synchronization: every session carries a reentrant
@@ -27,9 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.concurrency.lockdep import make_lock, make_rlock
 from repro.errors import SessionError
-from repro.obs.metrics import MetricsRegistry, Namespace
-from repro.propositions.proposition import individual
-from repro.propositions.store import WorkspaceStore
+from repro.obs.metrics import Namespace
 
 #: A staged operation: ("tell", frame_source) | ("untell", object_name).
 StagedOp = Tuple[str, str]
@@ -38,60 +34,52 @@ StagedOp = Tuple[str, str]
 class Session:
     """One client's server-side state."""
 
-    __slots__ = ("sid", "read_epoch", "in_flight", "overlay", "lock",
-                 "_txn_name", "_txn_counter", "_staged_ops")
+    __slots__ = ("sid", "read_epoch", "in_flight", "lock",
+                 "_in_transaction", "_staged_ops", "_write_set")
 
-    def __init__(self, sid: str, read_epoch: int,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, sid: str, read_epoch: int) -> None:
         self.sid = sid
-        #: Serializes this session's mutable state (staged ops, overlay,
-        #: read epoch).  Reentrant so the service can hold it across a
-        #: whole operation while the methods below also take it.
+        #: Serializes this session's mutable state (staged ops,
+        #: write-set, read epoch).  Reentrant so the service can hold it
+        #: across a whole operation while the methods below also take it.
         self.lock = make_rlock("server.session.lock")
         #: The commit sequence number this session's open transaction
         #: (or last acknowledged commit) read from.
         self.read_epoch = read_epoch  # guarded-by: lock
         #: Requests currently executing for this session (admission cap).
         self.in_flight = 0  # guarded-by: external: AdmissionController._cond
-        self.overlay = WorkspaceStore(registry=registry)  # guarded-by: lock
-        self._txn_name: Optional[str] = None  # guarded-by: lock
-        self._txn_counter = 0  # guarded-by: lock
+        self._in_transaction = False  # guarded-by: lock
         self._staged_ops: List[StagedOp] = []  # guarded-by: lock
+        #: The staged ops' keys, in first-staged order (an ordered set).
+        self._write_set: Dict[str, None] = {}  # guarded-by: lock
 
     # -- transaction staging ----------------------------------------------
 
     @property
     def in_transaction(self) -> bool:  # holds: lock
-        return self._txn_name is not None
+        return self._in_transaction
 
     def begin(self, read_epoch: int) -> None:
         """Open a staged transaction pinned to ``read_epoch``."""
         with self.lock:
-            if self._txn_name is not None:
+            if self._in_transaction:
                 raise SessionError(
                     f"session {self.sid!r} already has an open transaction"
                 )
-            self._txn_counter += 1
-            name = f"txn{self._txn_counter}"
-            self.overlay.add_workspace(name, active=True)
-            self.overlay.set_current(name)
-            self._txn_name = name
-            self._staged_ops = []
+            self._in_transaction = True
             self.read_epoch = read_epoch
 
     def stage(self, kind: str, arg: str, keys: List[str]) -> int:
-        """Stage one operation and record its write-set keys in the
-        overlay workspace; returns how many ops are now staged."""
+        """Stage one operation and add its keys to the write-set;
+        returns how many ops are now staged."""
         with self.lock:
-            if self._txn_name is None:
+            if not self._in_transaction:
                 raise SessionError(
                     f"session {self.sid!r} has no open transaction "
                     f"to stage into"
                 )
             self._staged_ops.append((kind, arg))
-            for key in keys:
-                if key not in self.overlay:
-                    self.overlay.create(individual(key))
+            self._write_set.update(dict.fromkeys(keys))
             return len(self._staged_ops)
 
     def staged_ops(self) -> List[StagedOp]:
@@ -102,37 +90,31 @@ class Session:
     def staged_keys(self) -> List[str]:
         """The write-set: every proposition key the staged ops touch."""
         with self.lock:
-            if self._txn_name is None:
-                return []
-            return sorted(
-                prop.pid
-                for prop in self.overlay.propositions_in(self._txn_name)
-            )
+            return sorted(self._write_set)
 
     def end_transaction(self) -> int:
-        """Discard the overlay workspace (after commit or on abort);
-        returns how many staged write-set entries were dropped."""
+        """Forget the staged ops and write-set (after commit or on
+        abort); returns how many write-set keys were dropped."""
         with self.lock:
-            if self._txn_name is None:
+            if not self._in_transaction:
                 raise SessionError(
                     f"session {self.sid!r} has no open transaction"
                 )
-            dropped = self.overlay.remove_workspace(self._txn_name)
-            self._txn_name = None
+            dropped = len(self._write_set)
+            self._in_transaction = False
             self._staged_ops = []
+            self._write_set = {}
             return dropped
 
 
 class SessionManager:
     """Open/resolve/close sessions, under a cap, thread-safely."""
 
-    def __init__(self, metrics: Namespace, max_sessions: int = 64,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, metrics: Namespace, max_sessions: int = 64) -> None:
         self._lock = make_lock("server.sessions.lock")
         self._sessions: Dict[str, Session] = {}  # guarded-by: _lock
         self._max_sessions = max_sessions
         self._next_sid = 1  # guarded-by: _lock
-        self._overlay_registry = registry
         self._g_sessions = metrics.gauge("sessions")
         self._c_opened = metrics.counter("sessions_opened")
         self._c_closed = metrics.counter("sessions_closed")
@@ -146,8 +128,7 @@ class SessionManager:
                 )
             sid = f"s{self._next_sid}"
             self._next_sid += 1
-            session = Session(sid, read_epoch,
-                              registry=self._overlay_registry)
+            session = Session(sid, read_epoch)
             self._sessions[sid] = session
             self._g_sessions.set(len(self._sessions))
             self._c_opened.inc()
@@ -174,7 +155,7 @@ class SessionManager:
                 session.end_transaction()
 
     def invalidate_transactions(self) -> int:
-        """Discard every open transaction's staged overlay; returns how
+        """Discard every open transaction's staged ops; returns how
         many were dropped.  A supervised restart calls this while
         quiescing: epochs pinned against the pre-fault head cannot be
         honoured across the rebuild, so in-flight transactions fail

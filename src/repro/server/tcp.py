@@ -27,13 +27,14 @@ spent parked counts against the request's deadline budget, and parked
 requests are bounded by the controller's ``max_waiting`` exactly like
 blocked threads are.
 
-All knowledge-base semantics live in ``GKBMSService``; these classes
-only frame bytes, count protocol-level failures
-(``server.protocol_errors``, ``server.truncated_frames``) and answer
-malformed lines with typed wire errors instead of dropping the
-connection.  A *truncated* final line (EOF with no newline — a client
-that died mid-request) is the exception: it is dropped unexecuted, and
-unanswerable anyway.
+**One wire path.**  All knowledge-base semantics live in
+``GKBMSService``; both servers only move bytes, framed by one
+:class:`~repro.server.protocol.FrameBuffer` and answered through
+:class:`_Transport`, which also owns the protocol counters
+(``server.protocol_errors``, ``server.truncated_frames``) and the
+shutdown verbs.  Malformed lines get typed wire errors and the
+connection survives.  A *truncated* final line (EOF with no newline —
+a client that died mid-request) is dropped unexecuted.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import socketserver
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.errors import (
     DeadlineExceeded,
@@ -53,98 +54,35 @@ from repro.errors import (
     ServerOverloaded,
 )
 from repro.server.protocol import (
-    MAX_FRAME,
+    SESSIONLESS,
+    FrameBuffer,
     decode_frame,
     encode_frame,
     error_response,
     validate_request,
 )
-from repro.server.service import _SESSIONLESS, GKBMSService
+from repro.server.service import GKBMSService
 from repro.server.session import Session
 
+#: Bytes asked of the socket per read.
+_READ_SIZE = 65536
 
-class _ConnectionHandler(socketserver.StreamRequestHandler):
-    """One client connection: read a frame, answer a frame, repeat."""
-
-    server: "GKBMSServer"
-
-    def handle(self) -> None:
-        self.server.c_connections.inc()
-        while True:
-            try:
-                line = self.rfile.readline(MAX_FRAME + 2)
-            except (OSError, ValueError):
-                break
-            if not line:
-                break
-            if not line.endswith(b"\n"):
-                if len(line) > MAX_FRAME:
-                    # readline() hit its size cap mid-line: an oversized
-                    # frame.  Consume the rest of the line so the stream
-                    # stays framed — otherwise the unread tail would be
-                    # parsed as spurious "frames" — then answer with a
-                    # typed error.
-                    if not self._skip_to_newline():
-                        break
-                    self.server.c_protocol_errors.inc()
-                    response = error_response(None, ProtocolError(
-                        f"frame exceeds {MAX_FRAME} bytes"
-                    ))
-                else:
-                    # EOF mid-line: the client died before finishing
-                    # the frame.  A truncated request must be dropped,
-                    # never decoded and half-executed — even if the
-                    # fragment happens to parse as JSON.
-                    self.server.c_truncated.inc()
-                    break
-            else:
-                try:
-                    request = decode_frame(line)
-                except ProtocolError as exc:
-                    self.server.c_protocol_errors.inc()
-                    response = error_response(None, exc)
-                else:
-                    response = self.server.service.handle(request)
-            try:
-                payload = encode_frame(response)
-            except (TypeError, ValueError) as exc:
-                # A handler produced a non-serializable result: answer
-                # with a typed error rather than tearing the stream.
-                self.server.c_protocol_errors.inc()
-                response = error_response(
-                    response.get("id"),
-                    ServerError(f"unserializable response: {exc}"),
-                )
-                payload = encode_frame(response)
-            try:
-                self.wfile.write(payload)
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                break
-
-    def _skip_to_newline(self) -> bool:
-        """Discard input up to the next newline; False if the stream
-        ended (or died) first, so the caller drops the connection."""
-        try:
-            while True:
-                rest = self.rfile.readline(MAX_FRAME + 2)
-                if not rest:
-                    return False
-                if rest.endswith(b"\n"):
-                    return True
-        except (OSError, ValueError):
-            return False
+_T = TypeVar("_T", bound="_Transport")
 
 
-class GKBMSServer(socketserver.ThreadingTCPServer):
-    """``python -m repro.server`` — the GKBMS over a socket."""
+class _Transport:
+    """What both servers share: the service, its protocol counters, the
+    address, response encoding and the shutdown verbs.  It comes first
+    in a server's bases and leaves ``shutdown`` (stop serving, block
+    until the loop returns) and ``server_close`` (release the listening
+    socket) to the server — ``socketserver``'s own, for the threaded
+    one."""
 
-    allow_reuse_address = True
-    daemon_threads = True
+    server_address: Tuple[str, int]
+    shutdown: Callable[[], None]
+    server_close: Callable[[], None]
 
-    def __init__(self, address: Tuple[str, int],
-                 service: GKBMSService) -> None:
-        super().__init__(address, _ConnectionHandler)
+    def __init__(self, service: GKBMSService) -> None:
         self.service = service
         ns = service.registry.namespace("server")
         self.c_connections = ns.counter("connections")
@@ -159,13 +97,17 @@ class GKBMSServer(socketserver.ThreadingTCPServer):
     def port(self) -> int:
         return self.server_address[1]
 
-    def serve_in_thread(self) -> threading.Thread:
-        """Serve from a daemon thread; returns it (for tests/tools)."""
-        thread = threading.Thread(
-            target=self.serve_forever, name="gkbms-tcp-server", daemon=True
-        )
-        thread.start()
-        return thread
+    def _encode(self, response: Dict[str, Any]) -> bytes:
+        """The response's wire bytes; a non-serializable result is
+        answered with a typed error rather than a torn stream."""
+        try:
+            return encode_frame(response)
+        except (TypeError, ValueError) as exc:
+            self.c_protocol_errors.inc()
+            return encode_frame(error_response(
+                response.get("id"),
+                ServerError(f"unserializable response: {exc}"),
+            ))
 
     def close(self) -> None:
         """Stop accepting, close the socket, stop the service."""
@@ -174,8 +116,9 @@ class GKBMSServer(socketserver.ThreadingTCPServer):
         self.service.close()
 
     def drain(self) -> None:
-        """Graceful shutdown: stop accepting, then let the service
-        flush its pipeline behind a final checkpoint and close the WAL
+        """Graceful shutdown: stop accepting (the async server lets
+        in-flight requests finish, bounded), then let the service flush
+        its pipeline behind a final checkpoint and close the WAL
         cleanly — the SIGTERM path, as opposed to dying mid-batch.
 
         ``shutdown()`` blocks until ``serve_forever`` returns, so it
@@ -185,7 +128,7 @@ class GKBMSServer(socketserver.ThreadingTCPServer):
         self.server_close()
         self.service.drain()
 
-    def __enter__(self) -> "GKBMSServer":
+    def __enter__(self: _T) -> _T:
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
@@ -193,30 +136,78 @@ class GKBMSServer(socketserver.ThreadingTCPServer):
         return False
 
 
+class _ConnectionHandler(socketserver.BaseRequestHandler):
+    """One client connection: read, answer each frame in turn, repeat."""
+
+    server: "GKBMSServer"
+
+    def handle(self) -> None:
+        server = self.server
+        server.c_connections.inc()
+        frames = FrameBuffer()
+        while True:
+            try:
+                data = self.request.recv(_READ_SIZE)
+            except OSError:
+                return
+            if not data:
+                if frames.truncated:
+                    # EOF mid-line: the client died before finishing
+                    # the frame.  Dropped, never decoded — even if the
+                    # fragment happens to parse as JSON.
+                    server.c_truncated.inc()
+                return
+            for line in frames.feed(data):
+                try:
+                    request = decode_frame(line)
+                except ProtocolError as exc:
+                    server.c_protocol_errors.inc()
+                    response = error_response(None, exc)
+                else:
+                    response = server.service.handle(request)
+                try:
+                    self.request.sendall(server._encode(response))
+                except OSError:
+                    return
+
+
+class GKBMSServer(_Transport, socketserver.ThreadingTCPServer):
+    """``python -m repro.server`` — the GKBMS over a socket."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int],
+                 service: GKBMSService) -> None:
+        _Transport.__init__(self, service)
+        socketserver.ThreadingTCPServer.__init__(
+            self, address, _ConnectionHandler
+        )
+
+    def serve_in_thread(self) -> threading.Thread:
+        """Serve from a daemon thread; returns it (for tests/tools)."""
+        thread = threading.Thread(
+            target=self.serve_forever, name="gkbms-tcp-server", daemon=True
+        )
+        thread.start()
+        return thread
+
+
 # ----------------------------------------------------------------------
 # The asyncio transport
 # ----------------------------------------------------------------------
 
 
-#: Sentinels the async framer returns instead of a line.
-_OVERSIZED = object()   # line exceeded MAX_FRAME; stream resynced past it
-_TRUNCATED = object()   # EOF cut the final line mid-frame
-
-
 class _AsyncConnection:
     """Per-connection pipelining state, confined to the event loop."""
 
-    __slots__ = ("reader", "writer", "buf", "wlock", "inflight",
-                 "slot_waiters", "pipelined", "session")
+    __slots__ = ("reader", "writer", "wlock", "inflight",
+                 "slot_waiters", "pipelined")
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter) -> None:
         self.reader = reader
         self.writer = writer
-        #: Frame-assembly buffer (explicit framing, not readline: the
-        #: oversized and truncated-EOF cases need deterministic
-        #: handling that StreamReader's limit machinery does not give).
-        self.buf = bytearray()
         #: Serializes response writes from concurrent request tasks.
         self.wlock = asyncio.Lock()
         #: id-key -> in-flight request task (protocol v2 correlation).
@@ -225,17 +216,13 @@ class _AsyncConnection:
         self.slot_waiters: List["asyncio.Future[None]"] = []
         #: Granted protocol >= 2 (set by the hello response).
         self.pipelined = False
-        #: The session the connection last spoke for (resume hint only).
-        self.session: Optional[Session] = None
 
     def notify_slot(self) -> None:
         waiters, self.slot_waiters = self.slot_waiters, []
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(None)
+        _wake(waiters)
 
 
-class AsyncGKBMSServer:
+class AsyncGKBMSServer(_Transport):
     """The GKBMS over asyncio: one event loop, pipelined protocol v2.
 
     Mirrors the :class:`GKBMSServer` surface exactly — ``host``/
@@ -257,14 +244,11 @@ class AsyncGKBMSServer:
 
     def __init__(self, address: Tuple[str, int], service: GKBMSService,
                  max_pipeline: Optional[int] = None) -> None:
-        self.service = service
+        super().__init__(service)
         self._sock = socket.create_server(address, backlog=1024)
+        self.server_address = self._sock.getsockname()[:2]
         self._max_pipeline = max_pipeline or self.MAX_PIPELINE
-        ns = service.registry.namespace("server")
-        self.c_connections = ns.counter("connections")
-        self.c_protocol_errors = ns.counter("protocol_errors")
-        self.c_truncated = ns.counter("truncated_frames")
-        a_ns = ns.namespace("async")
+        a_ns = service.registry.namespace("server.async")
         self.c_pauses = a_ns.counter("pauses")
         self.c_pipelined = a_ns.counter("pipelined_requests")
         self.g_open = a_ns.gauge("open_connections")
@@ -285,14 +269,6 @@ class AsyncGKBMSServer:
         self._detach_resume: Optional[Callable[[], None]] = None  # guarded-by: external: event loop
 
     # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self._sock.getsockname()[0]
-
-    @property
-    def port(self) -> int:
-        return self._sock.getsockname()[1]
 
     def serve_forever(self) -> None:
         """Run the event loop in the calling thread until
@@ -349,28 +325,6 @@ class AsyncGKBMSServer:
             pass
         self._executor.shutdown(wait=False)
 
-    def close(self) -> None:
-        """Stop accepting, close the socket, stop the service."""
-        self.shutdown()
-        self.server_close()
-        self.service.close()
-
-    def drain(self) -> None:
-        """Graceful shutdown: stop accepting, let in-flight requests
-        finish (bounded), then flush the pipeline behind a final
-        checkpoint and close the WAL — identical SIGTERM semantics to
-        the threaded server."""
-        self.shutdown()
-        self.server_close()
-        self.service.drain()
-
-    def __enter__(self) -> "AsyncGKBMSServer":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        self.close()
-        return False
-
     # -- the loop ----------------------------------------------------------
 
     async def _main(self) -> None:
@@ -417,9 +371,7 @@ class AsyncGKBMSServer:
 
     def _notify_resume(self) -> None:
         waiters, self._resume_waiters = self._resume_waiters, []
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(None)
+        _wake(waiters)
 
     async def _wait_resume(self, timeout: float) -> None:
         loop = asyncio.get_running_loop()
@@ -459,55 +411,17 @@ class AsyncGKBMSServer:
                 pass
 
     async def _read_loop(self, conn: _AsyncConnection) -> None:
+        frames = FrameBuffer()
         while True:
-            frame = await self._next_frame(conn)
-            if frame is None:
+            data = await conn.reader.read(_READ_SIZE)
+            if not data:
+                if frames.truncated:
+                    # EOF mid-line: a dead client, not a request — the
+                    # same rule as the threaded transport.
+                    self.c_truncated.inc()
                 return
-            if frame is _TRUNCATED:
-                # EOF cut the final line mid-frame: the client died
-                # mid-request.  Same rule as the threaded transport —
-                # drop it unexecuted.
-                self.c_truncated.inc()
-                return
-            if frame is _OVERSIZED:
-                self.c_protocol_errors.inc()
-                await self._send(conn, error_response(None, ProtocolError(
-                    f"frame exceeds {MAX_FRAME} bytes"
-                )))
-                continue
-            await self._dispatch_frame(conn, frame)
-
-    async def _next_frame(self, conn: _AsyncConnection) -> Any:
-        """One complete line from the stream, or a sentinel:
-        ``_OVERSIZED`` (line dropped, stream resynced past its
-        newline), ``_TRUNCATED`` (EOF mid-line), ``None`` (clean EOF,
-        or EOF inside an oversized line)."""
-        buf = conn.buf
-        while True:
-            nl = buf.find(b"\n")
-            if nl >= 0:
-                line = bytes(buf[:nl + 1])
-                del buf[:nl + 1]
-                if nl > MAX_FRAME:
-                    return _OVERSIZED
-                return line
-            if len(buf) > MAX_FRAME:
-                # Inside an oversized line: discard until its newline
-                # so the unread tail is never parsed as spurious
-                # frames.
-                del buf[:]
-                while True:
-                    chunk = await conn.reader.read(65536)
-                    if not chunk:
-                        return None
-                    cut = chunk.find(b"\n")
-                    if cut >= 0:
-                        buf.extend(chunk[cut + 1:])
-                        return _OVERSIZED
-            chunk = await conn.reader.read(65536)
-            if not chunk:
-                return _TRUNCATED if buf else None
-            buf.extend(chunk)
+            for line in frames.feed(data):
+                await self._dispatch_frame(conn, line)
 
     async def _dispatch_frame(self, conn: _AsyncConnection,
                               line: bytes) -> None:
@@ -523,7 +437,7 @@ class AsyncGKBMSServer:
             validate_request(frame)
             op = frame["op"]
             session: Optional[Session] = None
-            if op not in _SESSIONLESS:
+            if op not in SESSIONLESS:
                 session = service.sessions.get(frame.get("session"))
         except Exception as exc:  # noqa: BLE001 - typed reject
             await self._send(conn, service.reject(rid, exc))
@@ -558,7 +472,6 @@ class AsyncGKBMSServer:
         except (ServerOverloaded, DeadlineExceeded) as exc:
             await self._send(conn, service.reject(rid, exc))
             return
-        conn.session = session
         runner = self._run_request(conn, frame, session, deadline, key)
         if conn.pipelined:
             self.c_pipelined.inc()
@@ -625,14 +538,7 @@ class AsyncGKBMSServer:
 
     async def _send(self, conn: _AsyncConnection,
                     response: Dict[str, Any]) -> None:
-        try:
-            payload = encode_frame(response)
-        except (TypeError, ValueError) as exc:
-            self.c_protocol_errors.inc()
-            payload = encode_frame(error_response(
-                response.get("id"),
-                ServerError(f"unserializable response: {exc}"),
-            ))
+        payload = self._encode(response)
         try:
             async with conn.wlock:
                 conn.writer.write(payload)
@@ -640,6 +546,12 @@ class AsyncGKBMSServer:
         except (ConnectionResetError, BrokenPipeError, OSError,
                 RuntimeError):
             pass  # the client is gone; the read loop will see EOF
+
+
+def _wake(waiters: List["asyncio.Future[None]"]) -> None:
+    for waiter in waiters:
+        if not waiter.done():
+            waiter.set_result(None)
 
 
 def _id_key(rid: Any) -> str:
@@ -650,7 +562,3 @@ def _id_key(rid: Any) -> str:
         return json.dumps(rid, sort_keys=True, separators=(",", ":"))
     except (TypeError, ValueError):
         return repr(rid)
-
-
-#: Awaitable alias kept for typing clarity in callers.
-RequestRunner = Awaitable[None]

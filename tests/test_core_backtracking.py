@@ -151,6 +151,22 @@ class TestSelectiveBacktracking:
         assert len(db.rows("ConsInvitation")) == 1
 
 
+class TestNestedBacktrack:
+    def test_retract_nested_in_a_telling_is_refused(self, fig_2_3):
+        """A backtrack is its own transaction: nested in a telling that
+        then rolled back, its retraction marks used to outlive it."""
+        gkbms = fig_2_3.gkbms
+        did = fig_2_3.records["keys"].did
+        rows = gkbms.processor.store.rows()
+        relations = set(gkbms.module.relations)
+        with pytest.raises(BacktrackError):
+            with gkbms.processor.telling():
+                gkbms.backtracker.retract(did)
+        assert gkbms.processor.store.rows() == rows
+        assert set(gkbms.module.relations) == relations
+        assert all(record.is_active for record in gkbms.ledger)
+
+
 class TestAtomicUndo:
     """Undoing one decision is a transaction (regression: the undo used
     to run outside any telling, so a tool undo that mutated halfway and

@@ -234,6 +234,22 @@ class TestExecution:
                                tool="MoveDownMapper")
         assert record.tick == before + 1
 
+    def test_execute_nested_in_a_telling_is_refused(self, gkbms):
+        """A decision is its own transaction.  Nested in a telling that
+        then rolled back, it used to stay ``done`` in the ledger and in
+        the DBPL module while its outputs left the knowledge base."""
+        rows = gkbms.processor.store.rows()
+        module = gkbms.module.names()
+        clock = gkbms.clock
+        with pytest.raises(DecisionError):
+            with gkbms.processor.telling():
+                gkbms.execute("DecMoveDown", {"hierarchy": "Papers"},
+                              tool="MoveDownMapper")
+        assert gkbms.processor.store.rows() == rows
+        assert gkbms.module.names() == module
+        assert list(gkbms.ledger) == []
+        assert gkbms.clock == clock
+
     def test_seeded_histories_use_every_tick(self):
         """Every tick up to the clock is some record's tick or
         retraction tick, over 40 seeded evolution histories whose

@@ -486,6 +486,30 @@ class TestDecisionHistory:
         assert snap["decisions.graph_edges"] == 1
 
 
+class TestNestingRefused:
+    """A decide or backtrack is its own transaction in process too, as
+    on the wire.  Nested in a transaction that later aborted, it used to
+    leave a phantom ledger record behind rolled-back propositions."""
+
+    def test_decide_nested_in_a_transaction_is_refused(self, history):
+        before = history.store.rows()
+        with pytest.raises(DecisionError):
+            with history.cb.transaction():
+                decide(history, tell=["TELL A IN K END"])
+        assert history.store.rows() == before
+        assert len(history.ledger) == 0
+        assert history.ledger.next_did() == "d1"
+
+    def test_backtrack_nested_in_a_transaction_is_refused(self, history):
+        did = decide(history, tell=["TELL A IN K END"])["did"]
+        before = history.store.rows()
+        with pytest.raises(DecisionError):
+            with history.cb.transaction():
+                backtrack(history, did)
+        assert history.store.rows() == before
+        assert history.ledger.get(did).is_active
+
+
 # ---------------------------------------------------------------------------
 # Refused ops use up no tick: replaying the accepted ops reproduces ids
 # ---------------------------------------------------------------------------

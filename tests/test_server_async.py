@@ -3,8 +3,9 @@
 Covers the tentpole semantics — out-of-order completion matched by id,
 duplicate in-flight ids refused typed, backpressure pause/resume
 observable through ``server.in_flight`` — plus transport parity with
-the threaded server: truncated-frame drop, oversized-frame resync,
-poison deadlines, graceful drain, and the chaos ``client_drop`` kind.
+the threaded server: the framing suite both transports inherit
+(``test_server_framing.py``), graceful drain, and the chaos
+``client_drop`` kind.
 """
 
 import json
@@ -20,10 +21,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.propositions.wal import WalStore
 from repro.scenario.chaos import ChaosHarness
 from repro.server.client import PipelinedTCPClient, TCPClient
-from repro.server.protocol import MAX_FRAME, PROTOCOL_VERSION
+from repro.server.protocol import PROTOCOL_VERSION
 from repro.server.service import GKBMSService
 from repro.server.tcp import AsyncGKBMSServer
 from repro.server.__main__ import _install_drain_handlers, main as server_main
+from tests.test_server_framing import FramingSuite
 
 
 @pytest.fixture
@@ -246,79 +248,8 @@ class TestPipeliningSemantics:
         client.close()
 
 
-class TestAsyncFraming:
-    def test_truncated_final_frame_is_dropped(self, server):
-        """Regression parity with the threaded transport: an EOF
-        mid-line is a dead client, not a request."""
-        before = server.service.registry.snapshot()
-        with socket.create_connection(
-            (server.host, server.port), timeout=10
-        ) as sock:
-            sock.sendall(b'{"id": 1, "op": "ping", "params": {}}')
-            sock.shutdown(socket.SHUT_WR)
-            sock.settimeout(10)
-            assert sock.recv(4096) == b""
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            after = server.service.registry.snapshot()
-            if after.get("server.truncated_frames", 0) \
-                    == before.get("server.truncated_frames", 0) + 1:
-                break
-            time.sleep(0.005)
-        after = server.service.registry.snapshot()
-        assert after.get("server.truncated_frames", 0) \
-            == before.get("server.truncated_frames", 0) + 1
-        assert after.get("server.requests", 0) \
-            == before.get("server.requests", 0)
-
-    def test_oversized_frame_resynchronizes_the_stream(self, server):
-        with socket.create_connection(
-            (server.host, server.port), timeout=10
-        ) as sock:
-            handle = sock.makefile("rwb")
-            oversized = (
-                b'{"id": 1, "op": "ping", "pad": "'
-                + b"x" * (MAX_FRAME + 64) + b'"}\n'
-            )
-            handle.write(oversized)
-            handle.flush()
-            response = json.loads(handle.readline())
-            assert response["ok"] is False
-            assert response["error"]["type"] == "ProtocolError"
-            handle.write(b'{"id": 2, "op": "ping", "params": {}}\n')
-            handle.flush()
-            response = json.loads(handle.readline())
-            assert response["ok"] is True
-            assert response["id"] == 2
-
-    def test_malformed_line_answers_protocol_error(self, server):
-        with socket.create_connection(
-            (server.host, server.port), timeout=10
-        ) as sock:
-            handle = sock.makefile("rwb")
-            handle.write(b"this is not json\n")
-            handle.flush()
-            response = json.loads(handle.readline())
-            assert response["ok"] is False
-            assert response["error"]["type"] == "ProtocolError"
-            handle.write(b'{"id": 1, "op": "ping", "params": {}}\n')
-            handle.flush()
-            assert json.loads(handle.readline())["ok"] is True
-
-    def test_poison_deadline_refused_over_the_wire(self, server):
-        with socket.create_connection(
-            (server.host, server.port), timeout=10
-        ) as sock:
-            handle = sock.makefile("rwb")
-            for raw in (b'{"id": 1, "op": "ping", "params": {}, '
-                        b'"deadline_ms": true}\n',
-                        b'{"id": 2, "op": "ping", "params": {}, '
-                        b'"deadline_ms": Infinity}\n'):
-                handle.write(raw)
-                handle.flush()
-                response = json.loads(handle.readline())
-                assert response["ok"] is False
-                assert response["error"]["type"] == "ProtocolError"
+class TestAsyncFraming(FramingSuite):
+    """The shared framing contract on the asyncio transport."""
 
 
 class TestAsyncDrain:

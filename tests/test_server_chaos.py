@@ -27,6 +27,7 @@ per-scenario reports are dumped there as the non-gating CI artifact.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -240,8 +241,20 @@ class TestSupervisedRecovery:
         supervisor = ServiceSupervisor(
             service, backoff_base=0.001, backoff_cap=0.01, seed=FAULT_SEED
         )
+
+        def until_serving(_delay):
+            # A restart (rebuild plus the supervisor's own backoff) can
+            # outlast the policy's few-ms backoff on a loaded host: wait
+            # for the recovered service instead, bounded.
+            give_up = time.monotonic() + 10.0
+            while time.monotonic() < give_up and (
+                    service.status != "serving"
+                    or service.pipeline.poisoned):
+                time.sleep(0.001)
+
         client = LocalClient(
-            service, retry=RetryPolicy(seed=FAULT_SEED, base=0.001, cap=0.01)
+            service, retry=RetryPolicy(seed=FAULT_SEED, base=0.001, cap=0.01,
+                                       sleep=until_serving)
         )
         client.tell("TELL SimpleClass IN Class END")
         client.tell("TELL Before IN SimpleClass END")

@@ -1,8 +1,10 @@
 """Unit tests for the service layer: protocol, locks, sessions,
 admission, pipeline, group commit, and the service dispatch itself."""
 
+import gc
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -269,6 +271,35 @@ class TestSessions:
         session.stage("tell", "TELL A END", ["A"])
         manager.close(session.sid)
         assert not session.in_transaction
+
+    def test_aborted_transactions_retain_no_memory(self):
+        """Regression: every ``begin`` built a private store whose four
+        ``store.txnN`` counters were never freed — about 1 KiB kept per
+        transaction, for the life of the session."""
+        service = GKBMSService()
+        try:
+            client = LocalClient(service)
+            client.tell("TELL Doc IN SimpleClass END")
+
+            def cycles(count):
+                for _ in range(count):
+                    client.begin()
+                    client.tell("TELL D IN Doc END")
+                    client.abort()
+
+            cycles(200)  # fill the request histogram's reservoir first
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                cycles(1000)
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert retained < 200 * 1024, f"{retained} bytes retained"
+        finally:
+            service.close()
 
 
 class TestOverlayDiscard:

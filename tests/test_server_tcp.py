@@ -14,12 +14,12 @@ from repro.faults import FaultPlan, FaultyIO
 from repro.obs.metrics import MetricsRegistry
 from repro.propositions.wal import WalStore
 from repro.server.client import RetryPolicy, TCPClient
-from repro.server.protocol import MAX_FRAME
 from repro.server.service import GKBMSService
 from repro.server.supervisor import ServiceSupervisor
 from repro.server.tcp import GKBMSServer
 from repro.server.__main__ import _install_drain_handlers, main as server_main
 from repro.shell import GKBMSShell
+from tests.test_server_framing import FramingSuite
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ def server():
     tcp.close()
 
 
-class TestTCPTransport:
+class TestTCPTransport(FramingSuite):
     def test_round_trip_over_socket(self, server):
         client = TCPClient(server.host, server.port)
         client.tell("TELL Doc IN SimpleClass END")
@@ -70,85 +70,6 @@ class TestTCPTransport:
             client.tell("TELL D2 IN Doc END")
         assert client.instances("Doc") == ["D1", "D2"]
         client.close()
-
-    def test_malformed_line_answers_protocol_error(self, server):
-        with socket.create_connection(
-            (server.host, server.port), timeout=10
-        ) as sock:
-            handle = sock.makefile("rwb")
-            handle.write(b"this is not json\n")
-            handle.flush()
-            response = json.loads(handle.readline())
-            assert response["ok"] is False
-            assert response["error"]["type"] == "ProtocolError"
-            # The connection survives a bad frame.
-            handle.write(b'{"id": 1, "op": "ping", "params": {}}\n')
-            handle.flush()
-            response = json.loads(handle.readline())
-            assert response["ok"] is True
-        snapshot = server.service.registry.snapshot()
-        assert snapshot["server.protocol_errors"] == 1
-
-    def test_oversized_frame_resynchronizes_the_stream(self, server):
-        with socket.create_connection(
-            (server.host, server.port), timeout=10
-        ) as sock:
-            handle = sock.makefile("rwb")
-            oversized = (
-                b'{"id": 1, "op": "ping", "pad": "'
-                + b"x" * (MAX_FRAME + 64) + b'"}\n'
-            )
-            handle.write(oversized)
-            handle.flush()
-            response = json.loads(handle.readline())
-            assert response["ok"] is False
-            assert response["error"]["type"] == "ProtocolError"
-            # The unread tail of the oversized line was discarded, so
-            # the next frame parses cleanly instead of desynchronizing
-            # into spurious errors.
-            handle.write(b'{"id": 2, "op": "ping", "params": {}}\n')
-            handle.flush()
-            response = json.loads(handle.readline())
-            assert response["ok"] is True
-            assert response["id"] == 2
-
-    def test_truncated_final_frame_is_dropped(self, server):
-        """Regression: a final *unterminated* line at EOF that fit
-        under MAX_FRAME was decoded and executed as a complete frame —
-        a request truncated by a dying client must be dropped."""
-        before = server.service.registry.snapshot()
-        with socket.create_connection(
-            (server.host, server.port), timeout=10
-        ) as sock:
-            # A frame that would execute if (wrongly) parsed, cut off
-            # by the client dying before the newline.
-            sock.sendall(b'{"id": 1, "op": "ping", "params": {}}')
-            sock.shutdown(socket.SHUT_WR)
-            sock.settimeout(10)
-            assert sock.recv(4096) == b""  # EOF back, no response
-        after = server.service.registry.snapshot()
-        assert after.get("server.truncated_frames", 0) \
-            == before.get("server.truncated_frames", 0) + 1
-        # The fragment was never executed.
-        assert after.get("server.requests", 0) \
-            == before.get("server.requests", 0)
-
-    def test_poison_deadline_refused_over_the_wire(self, server):
-        """Regression companion: `deadline_ms: true` and NaN must be
-        refused by validation, not fed to the deadline arithmetic."""
-        with socket.create_connection(
-            (server.host, server.port), timeout=10
-        ) as sock:
-            handle = sock.makefile("rwb")
-            for raw in (b'{"id": 1, "op": "ping", "params": {}, '
-                        b'"deadline_ms": true}\n',
-                        b'{"id": 2, "op": "ping", "params": {}, '
-                        b'"deadline_ms": NaN}\n'):
-                handle.write(raw)
-                handle.flush()
-                response = json.loads(handle.readline())
-                assert response["ok"] is False
-                assert response["error"]["type"] == "ProtocolError"
 
     def test_closed_server_refuses_new_connections(self):
         service = GKBMSService()

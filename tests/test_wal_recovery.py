@@ -32,7 +32,7 @@ import pytest
 from repro.conceptbase import ConceptBase
 from repro.core.gkbms import GKBMS
 from repro.decisions import DecisionHistory
-from repro.errors import PersistenceError, ReproError
+from repro.errors import DecisionError, PersistenceError, ReproError
 from repro.obs.metrics import MetricError
 from repro.faults import CrashPoint, FaultPlan, FaultyIO, WriteFault
 from repro.propositions import PropositionProcessor, WalStore
@@ -509,20 +509,31 @@ class TestDecisionLog:
             == ledger
         recovered.close()
 
-    def test_decide_nested_in_a_transaction_keeps_its_delta(self, tmp_path):
-        """Only a top-level transaction's records are exactly one
-        decision's delta; a nested decide logs its delta whole."""
+    def test_decide_nested_in_a_transaction_is_refused(self, tmp_path):
+        """A decide is its own top-level transaction, so its log records
+        are exactly its delta; one nested in a caller's transaction is
+        refused and changes neither rows, ledger nor log."""
         path = str(tmp_path / "nested.wal")
         store = WalStore(path)
         cb = ConceptBase(store=store)
         history = DecisionHistory(cb)
         with cb.transaction():
             cb.tell("TELL K IN SimpleClass END")
-            history.apply_decide(json.dumps({
-                "decision_class": "Dec", "tell": ["TELL A IN K END"]}))
-        ledger = _ledger_json(history)
+        rows, ledger = store.rows(), _ledger_json(history)
+        offset = store.log_offset
+        with pytest.raises(DecisionError):
+            with cb.transaction():
+                cb.tell("TELL B IN K END")
+                history.apply_decide(json.dumps({
+                    "decision_class": "Dec", "tell": ["TELL A IN K END"]}))
+        assert store.rows() == rows
+        assert _ledger_json(history) == ledger
         store.close()
+        with open(path, "rb") as log:
+            log.seek(offset)
+            assert b'"op":"decision"' not in log.read()
         recovered = WalStore(path)
+        assert recovered.rows() == rows
         assert _ledger_json(DecisionHistory(ConceptBase(store=recovered))) \
             == ledger
         recovered.close()
