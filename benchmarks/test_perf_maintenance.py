@@ -13,12 +13,16 @@ machine-independent structural counters:
   per epoch in the ablation, while DRed touches only the doomed and
   rederived region — at least 3x fewer rule firings, on an identical
   final fixpoint.
+- **Savepoint rollbacks**: a rollback reverses its telling change by
+  change through the same delta maintenance, so the rollback oracle's
+  seeded interleavings throw away no closure family at all.
 """
 
 import pytest
 
 from repro.deduction.kb import RuleEngine
 from repro.propositions import PropositionProcessor
+from tests.test_incremental_oracle import rollback_interleaving
 
 # ---------------------------------------------------------------------------
 # Part A: closure-cache invalidations on a mixed workload
@@ -184,3 +188,33 @@ def test_retract_sweep_equivalence_every_step():
         idb_a = engine_a.materialise()
         for pred in set(idb_m.predicates()) | set(idb_a.predicates()):
             assert idb_m.rows(pred) == idb_a.rows(pred), (pred, step)
+
+
+# ---------------------------------------------------------------------------
+# Part C: closure caches across savepoint rollbacks
+# ---------------------------------------------------------------------------
+
+ROLLBACK_SEEDS = 100
+
+
+def test_rollback_maintenance_counts(perf_counters):
+    """Acceptance (Perf-9c): the rollback oracle's interleavings (tells,
+    retracts and savepoint rollbacks, closure queries after every step)
+    invalidate no closure family, and each run ends with answers
+    identical to a from-scratch rebuild."""
+    names = ("closure_invalidations", "closure_hits", "closure_misses",
+             "closure_delta_applied", "closure_delta_evictions",
+             "tellings_rolled_back")
+    totals = dict.fromkeys(names, 0)
+    for seed in range(ROLLBACK_SEEDS):
+        proc = rollback_interleaving(seed, oracle_every_step=False)
+        for name in names:
+            totals[name] += proc.stats[name]
+    assert totals["tellings_rolled_back"] > 0
+    assert totals["closure_delta_applied"] > 0
+    assert totals["closure_invalidations"] == 0
+    perf_counters(**{f"rollback_{name}": value
+                     for name, value in totals.items()})
+    print(f"\nPerf-9c over {ROLLBACK_SEEDS} seeds: "
+          f"{totals['tellings_rolled_back']} rollbacks, "
+          f"{totals['closure_invalidations']} closure invalidations")

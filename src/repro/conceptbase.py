@@ -51,7 +51,6 @@ class ConceptBase:
 
     def __init__(self, store: Optional[PropositionStore] = None,
                  strict: bool = False,
-                 incremental: bool = True,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None) -> None:
         #: One registry for the whole facade: each component writes its
@@ -60,12 +59,11 @@ class ConceptBase:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._tracer = tracer
         self.propositions = PropositionProcessor(
-            store=store, incremental=incremental, registry=self.registry,
-            tracer=tracer
+            store=store, registry=self.registry, tracer=tracer
         )
         self.objects = ObjectProcessor(self.propositions)
-        self.rules = RuleEngine(self.propositions, incremental=incremental,
-                                registry=self.registry, tracer=tracer)
+        self.rules = RuleEngine(self.propositions, registry=self.registry,
+                                tracer=tracer)
         self.rules.install_hook()
         self.consistency = ConsistencyChecker(
             self.propositions, registry=self.registry, tracer=tracer

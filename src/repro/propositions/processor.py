@@ -81,7 +81,6 @@ class Telling:
         self._active = False
         self._parent: Optional["Telling"] = None
         self._depth = 0
-        self._epochs: Optional[Tuple[int, int, int]] = None
         self._rollback_on_listener_error = rollback_on_listener_error
 
     @property
@@ -196,10 +195,9 @@ class PropositionProcessor:
         self._instanceof_epoch = 0
         self._attribute_epoch = 0
         self._optimise = optimise
-        # Delta-maintain closure caches on tell/retract instead of
+        # Delta-maintain closure caches on every change instead of
         # letting the moved sub-epoch invalidate them wholesale.
         self._incremental = incremental
-        self._in_undo = False
         # Structural performance counters live in this instance's own
         # registry namespace — never a dict shared with (or adopted
         # from) the store, so two processors on one store count
@@ -286,11 +284,13 @@ class PropositionProcessor:
         immediately before the change has its stamp advanced *first*
         (so nested closure queries during maintenance stay hot) and its
         table then delta-updated in place from the single changed link —
-        a BFS from the new edge on tell, a targeted eviction / DRed-style
-        shrink on retract.  Only caches that were already stale, and the
-        genuinely non-incremental mutations (reserved-name individuals,
-        savepoint rollback — see :meth:`_restore_epochs`), fall back to
-        the epoch-invalidation machinery."""
+        a BFS from the new edge on create, a targeted eviction /
+        DRed-style shrink on delete.  Every mutation comes through here:
+        tell, retract, clip, and each step of a rollback's undo.  The
+        sub-epochs only move forward, so no memo is ever revalidated by
+        a counter landing back on an old value.  Only caches that were
+        already stale, and reserved-name individuals, fall back to the
+        epoch-invalidation machinery."""
         if prop.is_individual:
             if prop.label == ISA:
                 self._isa_epoch += 1
@@ -303,9 +303,7 @@ class PropositionProcessor:
             kind = "instanceof"
         else:
             kind = "attribute"
-        incremental = (
-            self._optimise and self._incremental and not self._in_undo
-        )
+        incremental = self._optimise and self._incremental
         pre: Optional[Dict[str, Tuple[int, ...]]] = None
         if incremental:
             pre = {family: self._stamp(family) for family in self._caches}
@@ -606,9 +604,6 @@ class PropositionProcessor:
     def _begin(self, telling: Telling) -> None:
         telling._parent = self._tellings[-1] if self._tellings else None
         telling._depth = len(self._tellings) + 1
-        telling._epochs = (
-            self._isa_epoch, self._instanceof_epoch, self._attribute_epoch
-        )
         self.store.txn("begin" if telling._parent is None else "save")
         self._tellings.append(telling)
 
@@ -653,73 +648,28 @@ class PropositionProcessor:
         self._c_rollbacks.inc()
 
     def _undo(self, telling: Telling) -> None:
-        """Physically reverse a telling's mutations (newest first), then
-        restore the fine-grained epoch counters it bumped.  Rollback is
-        one of the genuinely non-incremental mutations: the undo loop
-        suppresses per-link cache maintenance (``_in_undo``) and lets
-        :meth:`_restore_epochs` clear exactly the moved families."""
-        self._in_undo = True
-        try:
-            for op in reversed(telling.ops):
-                kind = op[0]
-                if kind == "create":
-                    prop = op[1]
-                    if prop.pid in self.store:
-                        self.store.delete(prop.pid)
-                        self._note_change(prop, op="delete")
-                elif kind == "delete":
-                    prop = op[1]
-                    if prop.pid not in self.store:
-                        self.store.create(prop)
-                        self._note_change(prop)
-                else:  # clip
-                    old = op[1]
-                    self.store.replace(old)
-                    self._note_change(old, op="clip")
-        finally:
-            self._in_undo = False
-        if telling._epochs is not None:
-            self._restore_epochs(telling._epochs)
+        """Physically reverse a telling's mutations, newest first.  Each
+        reversal is one more change through :meth:`_note_change`, so the
+        closure caches are patched exactly as for a tell, retract or
+        clip: a rolled-back create is maintained as a delete, a
+        rolled-back delete as a create, a rolled-back clip as a clip."""
+        for op in reversed(telling.ops):
+            kind = op[0]
+            if kind == "create":
+                prop = op[1]
+                if prop.pid in self.store:
+                    self.store.delete(prop.pid)
+                    self._note_change(prop, op="delete")
+            elif kind == "delete":
+                prop = op[1]
+                if prop.pid not in self.store:
+                    self.store.create(prop)
+                    self._note_change(prop)
+            else:  # clip
+                old = op[1]
+                self.store.replace(old)
+                self._note_change(old, op="clip")
         self._bump()
-
-    #: Which fine-grained sub-epochs feed each closure family (mirrors
-    #: :meth:`_stamp`); used to clear exactly the caches a rolled-back
-    #: telling could have polluted.
-    _FAMILY_DEPS = {
-        "generalizations": frozenset({"isa"}),
-        "specializations": frozenset({"isa"}),
-        "attribute_classes": frozenset({"isa", "attribute"}),
-        "classes_of": frozenset({"isa", "instanceof"}),
-        "instances_of": frozenset({"isa", "instanceof"}),
-        "is_class": frozenset({"isa", "instanceof"}),
-    }
-
-    def _restore_epochs(self, snapshot: Tuple[int, int, int]) -> None:
-        """Roll the fine-grained counters back to their pre-telling
-        values — rollback restored the exact pre-telling network, so
-        caches stamped *before* the telling are valid again.  Any family
-        whose counter moved during the telling is cleared outright
-        first: a memo computed mid-telling must not be revalidated later
-        merely because an unrelated bump lands on the same counter
-        value."""
-        current = {
-            "isa": self._isa_epoch,
-            "instanceof": self._instanceof_epoch,
-            "attribute": self._attribute_epoch,
-        }
-        changed = {
-            name for name, value in zip(
-                ("isa", "instanceof", "attribute"), snapshot
-            ) if current[name] != value
-        }
-        if changed:
-            self._c_closure_invalidations.inc()
-            for family, deps in self._FAMILY_DEPS.items():
-                if deps & changed:
-                    cache = self._caches[family]
-                    cache.table.clear()
-                    cache.stamp = None
-        self._isa_epoch, self._instanceof_epoch, self._attribute_epoch = snapshot
 
     def on_commit(self, listener: Callable[[List[Proposition]], None]) -> None:
         """Register a listener for committed tellings."""
@@ -924,20 +874,16 @@ class PropositionProcessor:
                 f"proposition {pid!r} was never valid before {at!r}"
             )
         updated = prop.with_time(clipped)
-        with self.tracer.span("proposition.clip", pid=pid):
-            self.store.replace(updated)
-            self._note_change(updated, op="clip")
-            self._c_clips.inc()
-            if self._tellings:
-                self._tellings[-1].record_clip(prop, updated)
-            self._bump()
+        self.replace_proposition(updated)
         return updated
 
     def replace_proposition(self, prop: Proposition) -> Proposition:
-        """Swap the stored proposition with ``prop``'s pid for ``prop``,
-        through the same delta-maintenance path as :meth:`clip_validity`
-        — the inverse operation backtracking needs to restore a clipped
-        validity interval without invalidating warm closure caches."""
+        """Swap the stored proposition with ``prop``'s pid for ``prop``
+        and return the one it replaced.  The one clip path: it patches
+        the closure caches through :meth:`_note_change` and records the
+        clip in the open telling.  :meth:`clip_validity` ends an
+        interval through it, and backtracking restores a clipped
+        interval through it without invalidating warm closure caches."""
         old = self.store.get(prop.pid)
         with self.tracer.span("proposition.clip", pid=prop.pid):
             self.store.replace(prop)
@@ -1118,17 +1064,19 @@ class PropositionProcessor:
 
     def attribute_classes(self, cls: str, label: Optional[str] = None) -> List[Proposition]:
         """Attribute links defined on ``cls`` or inherited from its
-        generalizations — the paper's inherited propositions."""
+        generalizations — the paper's inherited propositions.  The order
+        depends on neither the hash seed nor the store's history: ``cls``
+        first, then its generalizations by name; within one class, by
+        pid."""
 
         def compute() -> Tuple[Proposition, ...]:
-            result: List[Proposition] = []
-            seen: Set[str] = set()
-            for sup in self.generalizations(cls):
-                for prop in self.attributes_of(sup, label=label):
-                    if prop.pid not in seen:
-                        seen.add(prop.pid)
-                        result.append(prop)
-            return tuple(result)
+            owners = [cls, *sorted(self._isa_closure(cls, down=False))]
+            return tuple(
+                prop
+                for owner in owners
+                for prop in sorted(self.attributes_of(owner, label=label),
+                                   key=lambda p: p.pid)
+            )
 
         return list(self._cached("attribute_classes", (cls, label), compute))
 

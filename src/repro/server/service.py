@@ -26,7 +26,7 @@ import json
 import threading
 import time
 from contextlib import ExitStack
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.analysis.concurrency import lockdep
 from repro.conceptbase import ConceptBase
@@ -86,6 +86,16 @@ def apply_ops(cb: ConceptBase, decisions: DecisionHistory,
             else:
                 raise ServerError(f"unknown staged op kind {kind!r}")
     return {"created": created, "retracted": retracted}
+
+
+class Prepared(NamedTuple):
+    """A request frame validated once, at receipt
+    (:meth:`GKBMSService.prepare`)."""
+
+    op: str
+    session: Optional[Session]
+    #: Absolute admission deadline (admission clock), or ``None``.
+    deadline: Optional[float]
 
 
 class GKBMSService:
@@ -173,9 +183,23 @@ class GKBMSService:
     # Request entry
     # ------------------------------------------------------------------
 
+    def prepare(self, frame: Any) -> Prepared:
+        """Validate ``frame`` and resolve its session and absolute
+        admission deadline, once per request.  Raises the typed error a
+        malformed frame or an unknown session earns.  Prepared at frame
+        receipt, a request's deadline counts any time the transport then
+        spends parked behind backpressure."""
+        if not isinstance(frame, dict):
+            raise ProtocolError("request must be a JSON object")
+        validate_request(frame)
+        op = frame["op"]
+        session = (None if op in SESSIONLESS
+                   else self.sessions.get(frame.get("session")))
+        deadline = self.admission.deadline_from(frame.get("deadline_ms"))
+        return Prepared(op, session, deadline)
+
     def handle(self, frame: Dict[str, Any], *,
-               admitted: bool = False,
-               deadline: Optional[float] = None) -> Dict[str, Any]:
+               prepared: Optional[Prepared] = None) -> Dict[str, Any]:
         """One request dict in, one response dict out.
 
         Never raises for any failure *of the request* — those become
@@ -183,30 +207,22 @@ class GKBMSService:
         ``SystemExit``) are deliberately not part of that contract:
         they propagate so a serving thread can actually be stopped.
 
-        ``admitted=True`` is the asyncio transport's contract: it
-        already holds an admission slot for this request (taken via
-        :meth:`AdmissionController.try_admit` on the event loop, so no
-        executor thread ever blocks in admission) and releases it when
-        the call returns.  ``deadline`` carries the absolute admission
-        deadline computed *at frame receipt*, so time parked behind
-        backpressure still counts against the request's budget.
+        Without ``prepared``, ``handle`` prepares the frame itself and
+        blocks in admission.  A ``prepared`` request is the asyncio
+        transport's contract: it came from :meth:`prepare` at frame
+        receipt, and the transport already holds its admission slot
+        (taken via :meth:`AdmissionController.try_admit` on the event
+        loop, so no executor thread ever blocks in admission) and
+        releases it when the call returns.
         """
         request_id = frame.get("id") if isinstance(frame, dict) else None
         start = self._clock()
         self._c_requests.inc()
         try:
-            if not isinstance(frame, dict):
-                raise ProtocolError("request must be a JSON object")
-            validate_request(frame)
-            op = frame["op"]
-            params = frame.get("params", {})
-            session: Optional[Session] = None
-            if op not in SESSIONLESS:
-                session = self.sessions.get(frame.get("session"))
-            if deadline is None:
-                deadline = self.admission.deadline_from(
-                    frame.get("deadline_ms")
-                )
+            admitted = prepared is not None
+            if prepared is None:
+                prepared = self.prepare(frame)
+            op, session, deadline = prepared
             self._deadline.value = deadline
             with ExitStack() as stack:
                 if not admitted:
@@ -215,7 +231,8 @@ class GKBMSService:
                             self.admission.admit(session, deadline)
                         )
                 with self._tracer.span("server.execute", op=op):
-                    result = self._dispatch(op, session, params)
+                    result = self._dispatch(op, session,
+                                            frame.get("params", {}))
             return ok_response(request_id, result)
         except Exception as exc:  # noqa: BLE001 - total handler
             self._c_errors.inc()

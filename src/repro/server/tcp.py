@@ -54,14 +54,12 @@ from repro.errors import (
     ServerOverloaded,
 )
 from repro.server.protocol import (
-    SESSIONLESS,
     FrameBuffer,
     decode_frame,
     encode_frame,
     error_response,
-    validate_request,
 )
-from repro.server.service import GKBMSService
+from repro.server.service import GKBMSService, Prepared
 from repro.server.session import Session
 
 #: Bytes asked of the socket per read.
@@ -242,12 +240,11 @@ class AsyncGKBMSServer(_Transport):
     #: before cancelling what is left.
     SHUTDOWN_GRACE = 5.0
 
-    def __init__(self, address: Tuple[str, int], service: GKBMSService,
-                 max_pipeline: Optional[int] = None) -> None:
+    def __init__(self, address: Tuple[str, int],
+                 service: GKBMSService) -> None:
         super().__init__(service)
         self._sock = socket.create_server(address, backlog=1024)
         self.server_address = self._sock.getsockname()[:2]
-        self._max_pipeline = max_pipeline or self.MAX_PIPELINE
         a_ns = service.registry.namespace("server.async")
         self.c_pauses = a_ns.counter("pauses")
         self.c_pipelined = a_ns.counter("pipelined_requests")
@@ -434,11 +431,7 @@ class AsyncGKBMSServer(_Transport):
         rid = frame.get("id")
         service = self.service
         try:
-            validate_request(frame)
-            op = frame["op"]
-            session: Optional[Session] = None
-            if op not in SESSIONLESS:
-                session = service.sessions.get(frame.get("session"))
+            prepared = service.prepare(frame)
         except Exception as exc:  # noqa: BLE001 - typed reject
             await self._send(conn, service.reject(rid, exc))
             return
@@ -457,7 +450,7 @@ class AsyncGKBMSServer(_Transport):
                 return
             # Pipeline-depth backpressure: stop reading this socket
             # until a slot frees.
-            while len(conn.inflight) >= self._max_pipeline:
+            while len(conn.inflight) >= self.MAX_PIPELINE:
                 self.c_pauses.inc()
                 loop = asyncio.get_running_loop()
                 waiter: "asyncio.Future[None]" = loop.create_future()
@@ -466,13 +459,12 @@ class AsyncGKBMSServer(_Transport):
         # Admission, non-blockingly: at capacity (global or this
         # session's cap) the read loop parks — the server stops
         # reading this socket — and resumes when a slot frees.
-        deadline = service.admission.deadline_from(frame.get("deadline_ms"))
         try:
-            await self._admit(session, deadline)
+            await self._admit(prepared.session, prepared.deadline)
         except (ServerOverloaded, DeadlineExceeded) as exc:
             await self._send(conn, service.reject(rid, exc))
             return
-        runner = self._run_request(conn, frame, session, deadline, key)
+        runner = self._run_request(conn, frame, prepared, key)
         if conn.pipelined:
             self.c_pipelined.inc()
             task = asyncio.get_running_loop().create_task(runner)
@@ -502,9 +494,7 @@ class AsyncGKBMSServer(_Transport):
                     return
 
     async def _run_request(self, conn: _AsyncConnection,
-                           frame: Dict[str, Any],
-                           session: Optional[Session],
-                           deadline: Optional[float],
+                           frame: Dict[str, Any], prepared: Prepared,
                            key: Optional[str]) -> None:
         service = self.service
         try:
@@ -512,8 +502,7 @@ class AsyncGKBMSServer(_Transport):
             try:
                 response = await loop.run_in_executor(
                     self._executor,
-                    partial(service.handle, frame,
-                            admitted=True, deadline=deadline),
+                    partial(service.handle, frame, prepared=prepared),
                 )
             except RuntimeError as exc:
                 # Executor already shut down (teardown race): answer
@@ -524,8 +513,8 @@ class AsyncGKBMSServer(_Transport):
             finally:
                 # The slot covers the service call only, as on the
                 # threaded transport, so a reply never outruns it.
-                service.admission.release(session)
-            if frame.get("op") == "hello" and response.get("ok"):
+                service.admission.release(prepared.session)
+            if prepared.op == "hello" and response.get("ok"):
                 granted = (response.get("result") or {}).get("protocol", 1)
                 conn.pipelined = bool(
                     isinstance(granted, int) and granted >= 2

@@ -9,10 +9,14 @@ sequences against both and compares the full query surface after every
 step.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from repro.conceptbase import ConceptBase
 from repro.errors import AxiomViolation, PropositionError
 from repro.propositions import PropositionProcessor, WorkspaceStore
 from repro.propositions.axioms import KERNEL_PIDS
@@ -313,3 +317,62 @@ def test_randomized_clip_and_retract_equivalence(seed):
         assert (pair[0].instances_of("Doc", at=at)
                 == pair[1].instances_of("Doc", at=at))
         assert pair[0].instances_of("Doc") == pair[1].instances_of("Doc")
+
+
+# ---------------------------------------------------------------------------
+# Inherited attributes come back in one canonical order
+# ---------------------------------------------------------------------------
+
+#: ``Alpha`` inherits a ``sender`` attribute class from each of four
+#: generalizations, so the class a told ``x.sender`` link instantiates
+#: is whichever of them ``attribute_classes`` lists first.
+DIAMOND_FRAMES = [
+    "TELL Person IN SimpleClass END",
+    "TELL bob IN Person END",
+    *(f"TELL {name} IN SimpleClass WITH\n  attribute sender : Person\nEND"
+      for name in ("Epsilon", "Gamma", "Beta", "Delta")),
+    "TELL Alpha IN SimpleClass ISA Gamma, Epsilon, Beta, Delta END",
+    "TELL x IN Alpha WITH\n  attribute sender : bob\nEND",
+]
+
+
+def diamond_base():
+    cb = ConceptBase()
+    for frame in DIAMOND_FRAMES:
+        cb.tell(frame)
+    return cb
+
+
+def test_inherited_attributes_in_canonical_order():
+    """The class itself first, then its generalizations by name, each
+    class's own attributes by pid — the same in both cache regimes."""
+    cb = diamond_base()
+    proc = cb.propositions
+    proc.tell_link("Alpha", "sender", "Person", pid="Alpha.sender2")
+    proc.tell_link("Alpha", "sender", "Person", pid="Alpha.sender1")
+    expected = ["Alpha.sender1", "Alpha.sender2", "Beta.sender",
+                "Delta.sender", "Epsilon.sender", "Gamma.sender"]
+    assert [p.pid for p in proc.attribute_classes("Alpha", "sender")] == expected
+    uncached = PropositionProcessor(store=proc.store, optimise=False,
+                                    bootstrap=False)
+    assert [p.pid for p in uncached.attribute_classes("Alpha", "sender")] == expected
+
+
+def test_told_link_classification_independent_of_hash_seed():
+    """A told link's attribute class does not depend on the
+    interpreter's string-hash seed."""
+    script = (
+        "from tests.test_closure_cache import diamond_base\n"
+        "cb = diamond_base()\n"
+        "print(sorted(cb.propositions.classification_of_link('x.sender')))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    answers = {}
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
+        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        answers[seed] = done.stdout.strip()
+    assert answers["0"] == answers["2"] == "['Beta.sender']"

@@ -101,8 +101,16 @@ def closure_surface(proc, names):
     return surface
 
 
-@pytest.mark.parametrize("seed", [2, 13])
-def test_randomized_closure_oracle_with_rollback(seed):
+def rollback_interleaving(seed, oracle_every_step=True):
+    """The seeded tell / untell / savepoint-rollback interleaving of the
+    rollback oracle, on an incremental processor it returns.
+
+    After every step the live processor answers the closure surface of
+    its ten newest names, which keeps its caches warm for the next
+    change to patch.  A fresh non-incremental processor replaying the
+    committed log from scratch is the oracle: it is compared after every
+    step with ``oracle_every_step``, and always over every name after
+    the last one."""
     rng = random.Random(seed)
     proc = PropositionProcessor()          # incremental by default
     committed = []                         # op log for the oracle rebuild
@@ -145,6 +153,23 @@ def test_randomized_closure_oracle_with_rollback(seed):
                 p.retract(victim) if victim in p.store else None)
         return None, None
 
+    def check(names):
+        # oracle: a fresh non-incremental processor replaying the
+        # committed log from scratch — rolled-back savepoints absent
+        oracle = PropositionProcessor(optimise=False)
+        for op in committed:
+            run(oracle, op)
+        # rolled-back savepoints burn auto-pid counter values in the
+        # live processor, so compare structure, not identifiers
+        def shape(processor):
+            return sorted(
+                (p.source, p.label, p.destination, p.is_link)
+                for p in processor.store
+            )
+        assert shape(proc) == shape(oracle), f"seed={seed}"
+        assert (closure_surface(proc, names)
+                == closure_surface(oracle, names)), f"seed={seed}"
+
     for step in range(45):
         if rng.random() < 0.2 and classes:
             # savepoint: tell a few things, then roll the whole unit back
@@ -173,23 +198,19 @@ def test_randomized_closure_oracle_with_rollback(seed):
                 elif kind == "retract" and key[1] in links:
                     links.remove(key[1])
 
-        # oracle: a fresh non-incremental processor replaying the
-        # committed log from scratch — rolled-back savepoints absent
-        oracle = PropositionProcessor(optimise=False)
-        for op in committed:
-            run(oracle, op)
-        # rolled-back savepoints burn auto-pid counter values in the
-        # live processor, so compare structure, not identifiers
-        def shape(processor):
-            return sorted(
-                (p.source, p.label, p.destination, p.is_link)
-                for p in processor.store
-            )
-        assert shape(proc) == shape(oracle)
         names = [n for n in classes + individuals if proc.exists(n)]
         sample = names[-10:]
-        assert closure_surface(proc, sample) == closure_surface(oracle, sample)
+        if oracle_every_step:
+            check(sample)
+        else:
+            closure_surface(proc, sample)
+    check([n for n in classes + individuals if proc.exists(n)])
+    return proc
 
+
+@pytest.mark.parametrize("seed", [2, 13])
+def test_randomized_closure_oracle_with_rollback(seed):
+    proc = rollback_interleaving(seed)
     assert proc.stats["closure_delta_applied"] > 0
 
 

@@ -1,12 +1,13 @@
-"""Nested tellings (savepoints), rollback fidelity and epoch restore.
+"""Nested tellings (savepoints), rollback fidelity and the closure caches.
 
 The paper's selective backtracking presupposes that an *aborted* unit
 of work leaves no trace: these tests pin down that a telling rollback
 undoes creates, retractions and validity clips exactly, that nested
-tellings roll back independently of their parents, and that the
-closure-cache epoch counters are restored without ever revalidating a
-stale memo (the trap: a mid-telling cache entry must not come back to
-life when a later, unrelated bump lands on the same counter value).
+tellings roll back independently of their parents, and that a rollback
+patches the closure caches like any other change without ever
+revalidating a stale memo (the trap: a mid-telling cache entry must not
+come back to life when a later, unrelated bump lands on the same
+counter value).
 """
 
 import pytest
@@ -146,19 +147,43 @@ class TestRollbackFidelity:
 
 
 class TestEpochRestore:
-    def test_rollback_restores_fine_grained_epochs(self, proc):
+    def test_rollback_patches_caches_without_invalidation(self, proc):
+        """A rollback is maintained change by change: every family
+        answers as before the telling, no family is thrown away, and the
+        sub-epochs only move forward."""
         proc.define_class("A")
         proc.define_class("B")
-        snapshot = (proc._isa_epoch, proc._instanceof_epoch,
-                    proc._attribute_epoch)
+        proc.define_class("C")
+        proc.tell_individual("y", in_class="A")
+        proc.tell_link("B", "note", "C", pid="B.note")
+
+        def families():
+            return (
+                proc.generalizations("A"),
+                proc.specializations("B"),
+                proc.classes_of("y"),
+                proc.instances_of("B"),
+                proc.is_class("y"),
+                [p.pid for p in proc.attribute_classes("A")],
+            )
+
+        before = families()
+        epochs = (proc._isa_epoch, proc._instanceof_epoch,
+                  proc._attribute_epoch)
+        invalidations = proc.stats["closure_invalidations"]
         with pytest.raises(RuntimeError):
             with proc.telling():
                 proc.tell_isa("A", "B")
-                proc.tell_individual("x", in_class="A")
-                proc.tell_link("A", "note", "B")
+                proc.tell_instanceof("y", "C")
+                proc.tell_link("A", "note", "C", pid="A.note")
+                during = families()
                 raise RuntimeError("abort")
-        assert (proc._isa_epoch, proc._instanceof_epoch,
-                proc._attribute_epoch) == snapshot
+        assert during != before
+        assert families() == before
+        assert proc.stats["closure_invalidations"] == invalidations
+        after = (proc._isa_epoch, proc._instanceof_epoch,
+                 proc._attribute_epoch)
+        assert all(now >= then for now, then in zip(after, epochs))
 
     def test_rollback_does_not_leave_stale_closure_cache(self, proc):
         """The satellite's cache-correctness trap: a closure memoised

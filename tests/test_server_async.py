@@ -11,6 +11,7 @@ the threaded server: the framing suite both transports inherit
 import json
 import signal
 import socket
+import threading
 import time
 
 import pytest
@@ -20,10 +21,14 @@ from repro.errors import ConnectionLost, ServerError
 from repro.obs.metrics import MetricsRegistry
 from repro.propositions.wal import WalStore
 from repro.scenario.chaos import ChaosHarness
+from repro.server import protocol
+from repro.server import service as service_module
+from repro.server import tcp as tcp_module
 from repro.server.client import PipelinedTCPClient, TCPClient
 from repro.server.protocol import PROTOCOL_VERSION
 from repro.server.service import GKBMSService
-from repro.server.tcp import AsyncGKBMSServer
+from repro.server.session import SessionManager
+from repro.server.tcp import AsyncGKBMSServer, GKBMSServer
 from repro.server.__main__ import _install_drain_handlers, main as server_main
 from tests.test_server_framing import FramingSuite
 
@@ -208,6 +213,48 @@ class TestPipeliningSemantics:
             service._dispatch = orig
             tcp.close()
 
+    def test_pipeline_depth_cap_parks_the_connection(self, monkeypatch):
+        """Past ``MAX_PIPELINE`` requests in flight on one connection
+        the read loop parks, though admission has room for all of them:
+        never more than the cap run at once, the park is counted as a
+        pause, and every request is still answered."""
+        monkeypatch.setattr(AsyncGKBMSServer, "MAX_PIPELINE", 2)
+        service = GKBMSService(batch_window=0.002)
+        tcp = AsyncGKBMSServer(("127.0.0.1", 0), service)
+        tcp.serve_in_thread()
+        orig = service._dispatch
+        lock = threading.Lock()
+        running = [0]
+        peak = [0]
+
+        def slow_dispatch(op, session, params):
+            if not params.get("slow"):
+                return orig(op, session, params)
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                time.sleep(0.05)
+                return orig(op, session, params)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        service._dispatch = slow_dispatch
+        try:
+            client = PipelinedTCPClient(tcp.host, tcp.port)
+            replies = [client.submit("ping", {"slow": 1})
+                       for _ in range(10)]
+            for reply in replies:
+                assert reply.result(10.0)["pong"] is True
+            assert peak[0] <= 2
+            snapshot = service.registry.snapshot()
+            assert snapshot.get("server.async.pauses", 0) > 0
+            client.close()
+        finally:
+            service._dispatch = orig
+            tcp.close()
+
     def test_admission_slot_is_free_before_the_reply_is_written(
             self, server):
         """The admission slot covers the service call only, as on the
@@ -246,6 +293,62 @@ class TestPipeliningSemantics:
         with pytest.raises((ConnectionLost, ServerError)):
             client.submit("ping").result(5.0)
         client.close()
+
+
+class TestRequestPreparation:
+    """Each request is validated and its session resolved exactly once,
+    on either transport."""
+
+    @pytest.mark.parametrize("server_cls, client_cls", [
+        (GKBMSServer, TCPClient),
+        (AsyncGKBMSServer, TCPClient),
+        (AsyncGKBMSServer, PipelinedTCPClient),
+    ], ids=["threaded", "async-v1", "async-v2"])
+    def test_one_validation_and_session_lookup_per_request(
+            self, monkeypatch, server_cls, client_cls):
+        lock = threading.Lock()
+        counts = {"validate": 0, "session": 0}
+
+        def count(name):
+            with lock:
+                counts[name] += 1
+
+        validate = protocol.validate_request
+
+        def counting_validate(frame):
+            count("validate")
+            return validate(frame)
+
+        # Patch every module that imported the validator by name.
+        for module in (protocol, service_module, tcp_module):
+            if getattr(module, "validate_request", None) is validate:
+                monkeypatch.setattr(module, "validate_request",
+                                    counting_validate)
+        get = SessionManager.get
+
+        def counting_get(manager, sid):
+            count("session")
+            return get(manager, sid)
+
+        monkeypatch.setattr(SessionManager, "get", counting_get)
+        service = GKBMSService(batch_window=0.002)
+        tcp = server_cls(("127.0.0.1", 0), service)
+        tcp.serve_in_thread()
+        try:
+            client = client_cls(tcp.host, tcp.port)
+            client.tell("TELL Doc IN SimpleClass END")
+            with lock:
+                counts.update(validate=0, session=0)
+            requests = 8
+            for _ in range(requests):
+                assert client.instances("Doc") == []
+            with lock:
+                per_request = {name: value / requests
+                               for name, value in counts.items()}
+            assert per_request == {"validate": 1.0, "session": 1.0}
+            client.close()
+        finally:
+            tcp.close()
 
 
 class TestAsyncFraming(FramingSuite):
