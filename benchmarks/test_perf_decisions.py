@@ -22,6 +22,12 @@ a 200-decision served history:
   least 25% below the same log in the older format, whose ``decision``
   records repeated the delta their transaction had already logged.
 
+- **Ledger reads join, they do not encode**: on a served 400-decision
+  ledger of that shape, 50 ``versions`` and 50 ``history`` reads render
+  no fragment (``decisions.fragments_rendered``); one decide renders as
+  many at 100 decisions as at 400; one backtrack renders its victims'
+  own fragments again and nothing else.
+
 Counters (propositions re-applied, rebuild size, the ratio scaled to
 an integer, graph constructions and links per op) land in the BENCH
 json as the machine-independent trajectory; the ``decisions.*``
@@ -31,6 +37,7 @@ registry metrics ride along.
 from repro.atomicio import REAL_IO
 from repro.conceptbase import ConceptBase
 from repro.decisions import JustificationGraph
+from repro.decisions.ledger import version_base
 from repro.obs.metrics import MetricsRegistry
 from repro.propositions.wal import WalStore, encode_record, scan_records
 from repro.server.client import LocalClient
@@ -50,6 +57,8 @@ WORK_DECIDES, WORK_BACKTRACKS, WORK_HISTORIES = 50, 10, 10
 #: Decides for the WAL-bytes gate, and the least saving per decide
 #: against the older log format (the delta repeated in each record).
 WAL_DECIDES, WAL_SAVING = 200, 0.25
+#: Ledger sizes for the encoded-read gate, and reads of each op.
+READ_DECISIONS, SMALL_DECISIONS, READS = 400, 100, 50
 
 
 def _grow_history(client, count):
@@ -174,30 +183,41 @@ def test_decide_graph_work_counts(monkeypatch, perf_counters):
     client.close()
 
 
+def _seed_artifacts(client):
+    """The classes artifact decides tell into; returns the first
+    artifact list."""
+    client.tell("TELL Artifact IN SimpleClass WITH\n"
+                "  attribute from : Artifact\nEND")
+    client.tell("TELL Note IN SimpleClass END")
+    client.tell("TELL Root IN Artifact END")
+    return ["Root"]
+
+
+def _artifact_decide(client, artifacts, n, notes=None):
+    """Decide ``n`` in decision-history's shape: one artifact linked
+    FROM a recent one, plus ``notes`` notes (0, 1 or 2 in turn)."""
+    source = artifacts[-1 - (7 * n) % min(len(artifacts), 40)]
+    name = f"Art{n}"
+    tell = [f"TELL {name} IN Artifact WITH\n  from from : {source}\nEND"]
+    tell += [f"TELL {name}n{j} IN Note END"
+             for j in range((n + 1) % 3 if notes is None else notes)]
+    dclass = ("DecMap", "DecRefine", "DecChoose")[n % 3]
+    client.decide(dclass, kind=("mapping", "refinement", "choice")[n % 3],
+                  tool=dclass[3:] + "Tool", tell=tell,
+                  inputs={"source": source},
+                  rationale=f"seeded decision {n}")
+    artifacts.append(name)
+
+
 def test_wal_bytes_per_decide_counts(tmp_path, perf_counters):
     path = str(tmp_path / "decide.wal")
     store = WalStore(path, registry=MetricsRegistry())
     service = GKBMSService(ConceptBase(store=store), batch_window=0.0)
     client = LocalClient(service)
-    client.tell("TELL Artifact IN SimpleClass WITH\n"
-                "  attribute from : Artifact\nEND")
-    client.tell("TELL Note IN SimpleClass END")
-    client.tell("TELL Root IN Artifact END")
+    artifacts = _seed_artifacts(client)
     start = store.log_offset
-    artifacts = ["Root"]
     for n in range(WAL_DECIDES):
-        # decision-history's shape: one artifact linked FROM a recent
-        # one, plus 0, 1 or 2 notes in turn
-        source = artifacts[-1 - (7 * n) % min(len(artifacts), 40)]
-        name = f"Art{n}"
-        tell = [f"TELL {name} IN Artifact WITH\n  from from : {source}\nEND"]
-        tell += [f"TELL {name}n{j} IN Note END" for j in range((n + 1) % 3)]
-        dclass = ("DecMap", "DecRefine", "DecChoose")[n % 3]
-        client.decide(dclass, kind=("mapping", "refinement", "choice")[n % 3],
-                      tool=dclass[3:] + "Tool", tell=tell,
-                      inputs={"source": source},
-                      rationale=f"seeded decision {n}")
-        artifacts.append(name)
+        _artifact_decide(client, artifacts, n)
     ledger = service.decisions.ledger
     logged = store.log_offset - start
     records, _offset, corruption = scan_records(REAL_IO.read_bytes(path))
@@ -226,3 +246,72 @@ def test_wal_bytes_per_decide_counts(tmp_path, perf_counters):
     )
     client.close()
     store.close()
+
+
+def _artifact_ledger(count):
+    """A served ledger of ``count`` artifact decides; returns the
+    service, its client and the artifact names."""
+    service = GKBMSService(batch_window=0.0)
+    client = LocalClient(service)
+    artifacts = _seed_artifacts(client)
+    for n in range(count):
+        _artifact_decide(client, artifacts, n)
+    return service, client, artifacts
+
+
+def test_ledger_read_encode_counts(perf_counters, registry_metrics):
+    per_decide = {}
+    for size in (SMALL_DECISIONS, READ_DECISIONS):
+        service, client, artifacts = _artifact_ledger(size)
+        ledger = service.decisions.ledger
+        before = ledger.fragments_rendered
+        _artifact_decide(client, artifacts, size, notes=1)
+        per_decide[size] = ledger.fragments_rendered - before
+        if size != READ_DECISIONS:
+            client.close()
+    # One decide renders its own fragments and its new edges, whatever
+    # the ledger's length.
+    assert per_decide[SMALL_DECISIONS] == per_decide[READ_DECISIONS] > 0
+
+    before = ledger.fragments_rendered
+    for _ in range(READS):
+        versions = client.versions()
+        history = client.history()
+    by_reads = ledger.fragments_rendered - before
+    assert by_reads == 0, (
+        f"{by_reads} fragments rendered by {2 * READS} ledger reads"
+    )
+    assert len(history["decisions"]) == READ_DECISIONS + 1
+    assert history["edges"] and versions["versions"]
+
+    before = ledger.fragments_rendered
+    report = client.backtrack(f"d{READ_DECISIONS // 2}")
+    victims = [ledger.get(did) for did in report["retracted"]]
+    assert len(victims) > 1
+    # A victim's own fragments: its summary, its version entries, each
+    # of their bases' keys, and its configuration edge.  Its
+    # justification edges carry no status and stay as they are.
+    own = sum(1 + len(victim.outputs)
+              + len(set(map(version_base, victim.outputs)))
+              + (victim.kind != "other") for victim in victims)
+    rendered = ledger.fragments_rendered - before
+    assert rendered == own, (
+        f"backtracking {len(victims)} decisions rendered {rendered} "
+        f"fragments, their own are {own}"
+    )
+    snapshot = service.cb.registry.snapshot("decisions")
+    assert snapshot["decisions.fragments_rendered"] == \
+        ledger.fragments_rendered
+    perf_counters(
+        ledger_records=len(ledger),
+        ledger_reads=2 * READS,
+        fragments_rendered_by_reads=by_reads,
+        fragments_per_decide_at_100=per_decide[SMALL_DECISIONS],
+        fragments_per_decide_at_400=per_decide[READ_DECISIONS],
+        backtrack_victims=len(victims),
+        fragments_per_backtrack=rendered,
+        versions_result_bytes=len(service.decisions.versions()),
+        history_result_bytes=len(service.decisions.history()),
+    )
+    registry_metrics(service.cb.registry, prefix="decisions")
+    client.close()

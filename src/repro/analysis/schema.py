@@ -108,11 +108,9 @@ def _category_resolvable(
     classes: Set[str] = set(frame.in_classes)
     if processor.exists(frame.name):
         classes |= processor.classes_of(frame.name)
-    for cls in sorted(classes):
-        for prop in processor.attribute_classes(cls):
-            if prop.label == category:
-                return True
-    return processor.exists(category)
+    return any(prop.label == category
+               for prop in processor.attribute_classes_of(classes)) \
+        or processor.exists(category)
 
 
 def check_frame(

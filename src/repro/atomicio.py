@@ -29,6 +29,7 @@ import os
 import zlib
 from typing import Any, Optional, Tuple
 
+from repro.canonical import dumps
 from repro.errors import PersistenceError
 
 ENVELOPE_VERSION = 1
@@ -37,7 +38,7 @@ ENVELOPE_VERSION = 1
 def canonical_json(payload: Any) -> bytes:
     """The canonical encoding checksums are computed over: sorted keys,
     compact separators, UTF-8."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return dumps(payload).encode("utf-8")
 
 
 def checksum(data: bytes) -> int:

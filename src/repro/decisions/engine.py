@@ -17,6 +17,10 @@ implements the five wire ops (§3.3 served):
 - ``versions`` — versions and vertical/horizontal configurations
   derived from the ledger's mapping/refinement/choice kinds (read).
 
+The two whole-ledger reads return the answers the ledger keeps encoded
+(:class:`~repro.canonical.Encoded`), which the frame encoder splices
+into the response as they are.
+
 Threading contract: ``apply_*`` methods run exclusively on the commit
 pipeline's writer thread under the service's write lock (the service
 dispatches them from ``_apply_commit``); the read methods run under
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
+from repro.canonical import Encoded
 from repro.conceptbase import ConceptBase
 from repro.decisions.ledger import DecisionLedger, LedgerRecord
 from repro.errors import BacktrackError, DecisionError
@@ -74,6 +79,7 @@ class DecisionHistory:
         self._c_replay_drift = ns.counter("replay_drift")
         self._g_nodes = ns.gauge("graph_nodes")
         self._g_edges = ns.gauge("graph_edges")
+        self._g_fragments = ns.gauge("fragments_rendered")
         self._tracer = tracer
         #: A durable store hands over the ledger it recovered, once, and
         #: reads this one back through the binding when it checkpoints.
@@ -92,6 +98,7 @@ class DecisionHistory:
         graph = self.ledger.graph
         self._g_nodes.set(graph.node_count)
         self._g_edges.set(graph.edge_count)
+        self._g_fragments.set(self.ledger.fragments_rendered)
 
     # ------------------------------------------------------------------
     # Writes (commit-pipeline writer thread, under the write lock)
@@ -244,21 +251,10 @@ class DecisionHistory:
     # Reads (under the service's read lock)
     # ------------------------------------------------------------------
 
-    def history(self, include_retracted: bool = True) -> Dict[str, Any]:
+    def history(self, include_retracted: bool = True) -> Encoded:
         """The listed decisions plus the justification graph's direct
-        edges between them."""
-        decisions = [
-            record.summary() for record in self.ledger.records
-            if include_retracted or record.is_active
-        ]
-        listed = {entry["did"] for entry in decisions}
-        return {
-            "decisions": decisions,
-            "edges": [edge for edge in self.ledger.graph.edge_list()
-                      if edge["from"] in listed and edge["to"] in listed],
-            "recorded": len(self.ledger.records),
-            "active": len(self.ledger.active()),
-        }
+        edges between them (:meth:`DecisionLedger.history`), encoded."""
+        return self.ledger.encoded_history(include_retracted)
 
     def replay(self, did: str) -> Dict[str, Any]:
         """Re-applicability test: diff the recorded delta against the
@@ -310,6 +306,7 @@ class DecisionHistory:
             "drift": drift,
         }
 
-    def versions(self) -> Dict[str, Any]:
-        """Versions and configurations derived from the ledger (§3.3)."""
-        return self.ledger.versions()
+    def versions(self) -> Encoded:
+        """Versions and configurations derived from the ledger (§3.3,
+        :meth:`DecisionLedger.versions`), encoded."""
+        return self.ledger.encoded_versions()

@@ -20,9 +20,11 @@ reads the ledger back at checkpoint; :meth:`LedgerRecord.to_json` /
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.canonical import Encoded, dumps
 from repro.decisions.graph import JustificationGraph
 from repro.errors import DecisionError
 
@@ -193,6 +195,19 @@ def _params_from_json(params: Dict[str, Any]) -> Dict[str, Any]:
             for key, value in params.items()}
 
 
+def _version_entry(name: str, record: LedgerRecord) -> Dict[str, Any]:
+    """One version in the ``versions`` wire form."""
+    return {"name": name, "decision": record.did, "active": record.is_active}
+
+
+def _configuration_edge(record: LedgerRecord) -> Dict[str, Any]:
+    """A derivation decision's edge in its ``versions`` configuration."""
+    return {"decision": record.did,
+            "from": sorted(set(record.inputs.values())),
+            "to": list(record.outputs),
+            "active": record.is_active}
+
+
 class DecisionLedger:
     """Append-only record list with deterministic ids and ticks.
 
@@ -207,6 +222,13 @@ class DecisionLedger:
     :meth:`append`; records must arrive in non-decreasing tick order
     (served ticks strictly increase, in-process ones follow the GKBMS
     clock), and recovery rebuilds it by appending the logged records.
+
+    The two read answers, ``versions`` and ``history``, are kept as
+    canonical-JSON fragments: :meth:`append` renders a record's,
+    :meth:`mark_retracted` renders a victim's again, and a read only
+    joins them (:meth:`encoded_versions`, :meth:`encoded_history`).
+    That holds because a record changes after its append only through
+    :meth:`mark_retracted`.
     """
 
     def __init__(self) -> None:
@@ -216,6 +238,27 @@ class DecisionLedger:
         self.by_did: Dict[str, LedgerRecord] = {}  # guarded-by: external: GKBMSService._rwlock
         self.graph = JustificationGraph([])  # guarded-by: external: GKBMSService._rwlock
         self._events = 0  # guarded-by: <writer>
+        #: base -> ``(name, producing record)`` per output, ledger order.
+        self._versions: Dict[str, List[Tuple[str, LedgerRecord]]] = {}  # guarded-by: external: GKBMSService._rwlock
+        # The encoded answers' fragments, each in the order its answer
+        # lists them.
+        #: did -> the record's ``history`` summary.
+        self._summaries: Dict[str, str] = {}  # guarded-by: external: GKBMSService._rwlock
+        #: base -> its version entries, parallel to ``_versions[base]``.
+        self._version_frags: Dict[str, List[str]] = {}  # guarded-by: external: GKBMSService._rwlock
+        #: base -> ``"base":[entries]``, its member of ``versions``.
+        self._version_members: Dict[str, str] = {}  # guarded-by: external: GKBMSService._rwlock
+        self._bases: List[str] = []  # guarded-by: external: GKBMSService._rwlock
+        #: configuration -> did -> the record's configuration edge.
+        self._configurations: Dict[str, Dict[str, str]] = {  # guarded-by: external: GKBMSService._rwlock
+            target: {} for target in _CONFIGURATION_OF_KIND.values()}
+        #: The justification edges as ``(from, to)``, sorted, and
+        #: encoded in the same order.
+        self._edge_keys: List[Tuple[str, str]] = []  # guarded-by: external: GKBMSService._rwlock
+        self._edges: List[str] = []  # guarded-by: external: GKBMSService._rwlock
+        self._active = 0  # guarded-by: external: GKBMSService._rwlock
+        #: Fragments rendered since the ledger was built.
+        self.fragments_rendered = 0  # guarded-by: <writer>
 
     def __len__(self) -> int:
         return len(self.records)
@@ -247,12 +290,54 @@ class DecisionLedger:
         self.by_did[record.did] = record
         self._events = max(self._events, record.tick,
                            record.retracted_tick or 0)
+        for name in record.outputs:
+            base = version_base(name)
+            if base not in self._versions:
+                insort(self._bases, base)
+                self._versions[base], self._version_frags[base] = [], []
+            self._versions[base].append((name, record))
+            self._version_frags[base].append("")
+        if record.is_active:
+            self._active += 1
+        self._render(record)
+        # The record's in-edges, beside the graph that just linked them.
+        for source, reason in self.graph.justification_of(record.did):
+            key = (source, record.did)
+            at = bisect(self._edge_keys, key)
+            self._edge_keys.insert(at, key)
+            self._edges.insert(at, self._encode(
+                {"from": source, "to": record.did, "reason": reason}))
 
     def mark_retracted(self, did: str, tick: int) -> None:  # runs-on: writer
         record = self.get(did)
+        if record.is_active:
+            self._active -= 1
         record.status = "retracted"
         record.retracted_tick = tick
         self._events = max(self._events, tick)
+        self._render(record)
+
+    def _encode(self, value: Any) -> str:  # runs-on: writer
+        self.fragments_rendered += 1
+        return dumps(value)
+
+    def _render(self, record: LedgerRecord) -> None:  # runs-on: writer
+        """(Re)render ``record``'s own fragments: its summary, its
+        version entries (and their bases' members) and its
+        configuration edge.  Its justification edges carry no status,
+        so they never change."""
+        self._summaries[record.did] = self._encode(record.summary())
+        for base in dict.fromkeys(map(version_base, record.outputs)):
+            frags = self._version_frags[base]
+            for at, (name, owner) in enumerate(self._versions[base]):
+                if owner is record:
+                    frags[at] = self._encode(_version_entry(name, record))
+            self._version_members[base] = \
+                f'{self._encode(base)}:[{",".join(frags)}]'
+        target = _CONFIGURATION_OF_KIND.get(record.kind)
+        if target is not None:
+            self._configurations[target][record.did] = \
+                self._encode(_configuration_edge(record))
 
     def active(self) -> List[LedgerRecord]:
         return [record for record in self.records if record.is_active]
@@ -270,13 +355,41 @@ class DecisionLedger:
     def version_entries(self) -> Dict[str, List[Tuple[str, LedgerRecord]]]:
         """Every output grouped under the base it versions (§3.3.2):
         base -> ``(name, producing record)`` in ledger order, the plain
-        name and its ``base~tick`` revisions alike."""
-        grouped: Dict[str, List[Tuple[str, LedgerRecord]]] = {}
-        for record in self.records:
-            for name in record.outputs:
-                grouped.setdefault(version_base(name), []).append(
-                    (name, record))
-        return grouped
+        name and its ``base~tick`` revisions alike.  This is the index
+        :meth:`append` maintains: read it, never change it."""
+        return self._versions
+
+    def encoded_versions(self) -> Encoded:
+        """:meth:`versions`, joined from the kept fragments."""
+        configurations, members = self._configurations, self._version_members
+        alternatives = ",".join(configurations["alternatives"].values())
+        horizontal = ",".join(configurations["horizontal"].values())
+        versions = ",".join([members[base] for base in self._bases])
+        vertical = ",".join(configurations["vertical"].values())
+        return Encoded(f'{{"alternatives":[{alternatives}],'
+                       f'"horizontal":[{horizontal}],'
+                       f'"versions":{{{versions}}},"vertical":[{vertical}]}}')
+
+    def encoded_history(self, include_retracted: bool = True) -> Encoded:
+        """:meth:`history`, joined from the kept fragments."""
+        if include_retracted:
+            decisions = ",".join(self._summaries.values())
+            edges = ",".join(self._edges)
+        else:
+            by_did = self.by_did
+            decisions = ",".join([
+                summary for record, summary
+                in zip(self.records, self._summaries.values())
+                if record.is_active])
+            edges = ",".join([
+                edge for (source, target), edge
+                in zip(self._edge_keys, self._edges)
+                if by_did[source].is_active and by_did[target].is_active])
+        return Encoded(f'{{"active":{self._active},"decisions":[{decisions}],'
+                       f'"edges":[{edges}],"recorded":{len(self.records)}}}')
+
+    # The dict forms of the two answers, derived from the records on
+    # every call: the reference the kept fragments are tested against.
 
     def versions(self) -> Dict[str, Any]:
         """The ``versions`` wire form: each base's versions with their
@@ -285,22 +398,29 @@ class DecisionLedger:
         (alternatives) decisions draw."""
         configurations: Dict[str, List[Dict[str, Any]]] = {
             "vertical": [], "horizontal": [], "alternatives": []}
+        grouped: Dict[str, List[Dict[str, Any]]] = {}
         for record in self.records:
             target = _CONFIGURATION_OF_KIND.get(record.kind)
             if target is not None:
-                configurations[target].append({
-                    "decision": record.did,
-                    "from": sorted(set(record.inputs.values())),
-                    "to": list(record.outputs),
-                    "active": record.is_active,
-                })
-        versions = {
-            base: [{"name": name, "decision": record.did,
-                    "active": record.is_active}
-                   for name, record in entries]
-            for base, entries in sorted(self.version_entries().items())
+                configurations[target].append(_configuration_edge(record))
+            for name in record.outputs:
+                grouped.setdefault(version_base(name), []).append(
+                    _version_entry(name, record))
+        return {"versions": dict(sorted(grouped.items())), **configurations}
+
+    def history(self, include_retracted: bool = True) -> Dict[str, Any]:
+        """The ``history`` wire form: the listed decisions plus the
+        justification graph's direct edges between them."""
+        decisions = [record.summary() for record in self.records
+                     if include_retracted or record.is_active]
+        listed = {entry["did"] for entry in decisions}
+        return {
+            "decisions": decisions,
+            "edges": [edge for edge in self.graph.edge_list()
+                      if edge["from"] in listed and edge["to"] in listed],
+            "recorded": len(self.records),
+            "active": len(self.active()),
         }
-        return {"versions": versions, **configurations}
 
     @classmethod
     def from_wire_log(cls, records: List[Dict[str, Any]]

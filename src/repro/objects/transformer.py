@@ -44,9 +44,8 @@ class ObjectTransformer:
         attribute class with the same *label*; any other category must
         name the label of an attribute class on one of the owner's
         classes (or be the pid of an attribute class)."""
-        candidates: List[Proposition] = []
-        for cls in sorted(self.processor.classes_of(owner)):
-            candidates.extend(self.processor.attribute_classes(cls))
+        candidates = self.processor.attribute_classes_of(
+            self.processor.classes_of(owner))
         if decl.category.lower() == "attribute":
             for prop in candidates:
                 if prop.label == decl.label:

@@ -1080,6 +1080,20 @@ class PropositionProcessor:
 
         return list(self._cached("attribute_classes", (cls, label), compute))
 
+    def attribute_classes_of(self, classes: Iterable[str]) -> List[Proposition]:
+        """The attribute classes of each of ``classes`` (by name, each
+        in :meth:`attribute_classes` order), every one once: a class
+        that an earlier one already listed, by inheritance, keeps its
+        first place."""
+        seen: Set[str] = set()
+        out: List[Proposition] = []
+        for cls in sorted(classes):
+            for prop in self.attribute_classes(cls):
+                if prop.pid not in seen:
+                    seen.add(prop.pid)
+                    out.append(prop)
+        return out
+
     def links_instantiating(self, attr_class_pid: str) -> List[Proposition]:
         """All links that are declared instances of an attribute class."""
         result = []

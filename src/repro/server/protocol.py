@@ -46,16 +46,25 @@ Response frame::
 :mod:`repro.errors`; clients re-raise the matching typed error, so
 ``except ServerOverloaded`` works identically against a local or remote
 server.
+
+Frames are canonical JSON (:mod:`repro.canonical`).  A result that is
+already :class:`Encoded` (the decision ledger keeps its ``history`` and
+``versions`` answers encoded) is spliced into its frame as it is, and
+the frame's bytes are those its decoded form would encode to.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Type
+from typing import Any, Dict, List, Optional, Type, Union
 
 from repro import errors as _errors
+from repro.canonical import Encoded, dumps
 from repro.errors import ProtocolError, ReproError
+
+#: A response's ``result``: a JSON object, or one already encoded.
+Result = Union[Dict[str, Any], Encoded]
 
 #: Highest protocol version this codebase speaks (see module docstring).
 PROTOCOL_VERSION = 2
@@ -188,9 +197,15 @@ class FrameBuffer:
 
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
-    """One wire frame: compact JSON + newline."""
-    data = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return data.encode("utf-8") + b"\n"
+    """One wire frame: canonical JSON + newline.  An :class:`Encoded`
+    ``result`` goes in as it is, after the frame's other keys, which all
+    sort before it (``id``, ``ok``)."""
+    result = payload.get("result")
+    if isinstance(result, Encoded):
+        head = dumps({key: value for key, value in payload.items()
+                      if key != "result"})
+        return f'{head[:-1]},"result":{result}}}\n'.encode("utf-8")
+    return dumps(payload).encode("utf-8") + b"\n"
 
 
 def decode_frame(line: bytes) -> Dict[str, Any]:
@@ -249,7 +264,7 @@ def negotiate_protocol(params: Dict[str, Any]) -> int:
     return min(requested, PROTOCOL_VERSION)
 
 
-def ok_response(request_id: Any, result: Dict[str, Any]) -> Dict[str, Any]:
+def ok_response(request_id: Any, result: Result) -> Dict[str, Any]:
     return {"id": request_id, "ok": True, "result": result}
 
 

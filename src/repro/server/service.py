@@ -51,6 +51,7 @@ from repro.server.protocol import (
     SESSION_SERIAL,
     SESSIONLESS,
     WRITE_OPS,
+    Result,
     error_response,
     negotiate_protocol,
     ok_response,
@@ -274,7 +275,7 @@ class GKBMSService:
     # ------------------------------------------------------------------
 
     def _dispatch(self, op: str, session: Optional[Session],
-                  params: Dict[str, Any]) -> Dict[str, Any]:
+                  params: Dict[str, Any]) -> Result:
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
             raise ProtocolError(f"op {op!r} not implemented")
@@ -480,7 +481,7 @@ class GKBMSService:
         return self._read(lambda: self.decisions.replay(did))
 
     def _op_history(self, session: Session,
-                    params: Dict[str, Any]) -> Dict[str, Any]:
+                    params: Dict[str, Any]) -> Result:
         include_retracted = params.get("include_retracted", True)
         if not isinstance(include_retracted, bool):
             raise ProtocolError(
@@ -491,7 +492,7 @@ class GKBMSService:
         )
 
     def _op_versions(self, session: Session,
-                     params: Dict[str, Any]) -> Dict[str, Any]:
+                     params: Dict[str, Any]) -> Result:
         return self._read(self.decisions.versions)
 
     # -- transactions ------------------------------------------------------

@@ -47,6 +47,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
+from repro.canonical import dumps
 from repro.errors import (
     DeadlineExceeded,
     ProtocolError,
@@ -246,7 +247,11 @@ class AsyncGKBMSServer(_Transport):
         self._sock = socket.create_server(address, backlog=1024)
         self.server_address = self._sock.getsockname()[:2]
         a_ns = service.registry.namespace("server.async")
+        # A park on this connection's pipeline depth, or on admission;
+        # ``pauses`` counts both.
         self.c_pauses = a_ns.counter("pauses")
+        self.c_depth_pauses = a_ns.counter("depth_pauses")
+        self.c_admission_pauses = a_ns.counter("admission_pauses")
         self.c_pipelined = a_ns.counter("pipelined_requests")
         self.g_open = a_ns.gauge("open_connections")
         # The service executes on this pool; sizing it to the admission
@@ -452,6 +457,7 @@ class AsyncGKBMSServer(_Transport):
             # until a slot frees.
             while len(conn.inflight) >= self.MAX_PIPELINE:
                 self.c_pauses.inc()
+                self.c_depth_pauses.inc()
                 loop = asyncio.get_running_loop()
                 waiter: "asyncio.Future[None]" = loop.create_future()
                 conn.slot_waiters.append(waiter)
@@ -483,6 +489,7 @@ class AsyncGKBMSServer(_Transport):
         if admission.try_admit(session, deadline):
             return
         self.c_pauses.inc()
+        self.c_admission_pauses.inc()
         give_up = admission.wait_budget(deadline)
         with admission.parked():
             while True:
@@ -546,8 +553,7 @@ def _wake(waiters: List["asyncio.Future[None]"]) -> None:
 def _id_key(rid: Any) -> str:
     """A canonical, hashable key for a JSON request id (ids are echoed
     verbatim, so any JSON value is legal on the wire)."""
-    import json
     try:
-        return json.dumps(rid, sort_keys=True, separators=(",", ":"))
+        return dumps(rid)
     except (TypeError, ValueError):
         return repr(rid)

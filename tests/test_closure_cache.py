@@ -358,6 +358,21 @@ def test_inherited_attributes_in_canonical_order():
     assert [p.pid for p in uncached.attribute_classes("Alpha", "sender")] == expected
 
 
+def test_attribute_class_walk_lists_each_class_once():
+    """Each class of ``x`` lists its inherited attribute classes too, so
+    the per-class lists repeat them; the walk keeps each one's first
+    place only, and the first match a told link takes is unchanged."""
+    proc = diamond_base().propositions
+    classes = proc.classes_of("x")
+    per_class = [prop.pid for cls in sorted(classes)
+                 for prop in proc.attribute_classes(cls)]
+    walk = [prop.pid for prop in proc.attribute_classes_of(classes)]
+    assert len(per_class) == 9
+    assert walk == list(dict.fromkeys(per_class))
+    assert walk == ["Beta.sender", "Delta.sender", "Epsilon.sender",
+                    "Gamma.sender", "Attribute"]
+
+
 def test_told_link_classification_independent_of_hash_seed():
     """A told link's attribute class does not depend on the
     interpreter's string-hash seed."""

@@ -71,14 +71,14 @@ class TestLedger:
         decide(history, kind="mapping", inputs={"x": "A"},
                tell=["TELL B IN K END"], rationale="r", obligations=["ob"])
         backtrack(history, "d2")
-        before = history.history()
+        before = json.loads(history.history())
         old_log = [
             {key: value for key, value in record.to_json().items()
              if key not in ("output_roles", "params", "actor", "assumptions")}
             for record in history.ledger.records
         ]
         history.ledger = DecisionLedger.from_wire_log(old_log)
-        assert history.history() == before
+        assert json.loads(history.history()) == before
 
     def test_from_json_refuses_garbage(self):
         with pytest.raises(DecisionError):
@@ -447,7 +447,7 @@ class TestDecisionHistory:
                inputs={"rel": "R"}, tell=["TELL R2 IN K END"])
         decide(history, decision_class="Key", kind="choice",
                inputs={"rel": "R2"}, tell=["TELL R2~alt IN K END"])
-        derived = history.versions()
+        derived = json.loads(history.versions())
         assert [v["name"] for v in derived["versions"]["R2"]] == \
             ["R2", "R2~alt"]
         assert derived["vertical"][0]["to"] == ["R"]
@@ -459,13 +459,13 @@ class TestDecisionHistory:
         decide(history, inputs={"x": "A"}, tell=["TELL B IN K END"])
         decide(history, tell=["TELL C IN K END"])
         backtrack(history, first["did"])
-        full = history.history()
+        full = json.loads(history.history())
         assert [d["did"] for d in full["decisions"]] == ["d1", "d2", "d3"]
         assert full["recorded"] == 3 and full["active"] == 1
         assert full["edges"] == [
             {"from": "d1", "to": "d2", "reason": "from-to"},
         ]
-        active = history.history(include_retracted=False)
+        active = json.loads(history.history(include_retracted=False))
         assert [d["did"] for d in active["decisions"]] == ["d3"]
         # no edge may name a decision the history left out
         assert active["edges"] == []

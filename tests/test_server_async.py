@@ -207,6 +207,7 @@ class TestPipeliningSemantics:
             snapshot = service.registry.snapshot()
             assert peak <= 2
             assert snapshot.get("server.async.pauses", 0) > 0
+            assert snapshot.get("server.async.admission_pauses", 0) > 0
             assert snapshot.get("server.in_flight") == 0
             client.close()
         finally:
@@ -250,6 +251,8 @@ class TestPipeliningSemantics:
             assert peak[0] <= 2
             snapshot = service.registry.snapshot()
             assert snapshot.get("server.async.pauses", 0) > 0
+            assert snapshot.get("server.async.depth_pauses", 0) > 0
+            assert snapshot.get("server.async.admission_pauses", 0) == 0
             client.close()
         finally:
             service._dispatch = orig
