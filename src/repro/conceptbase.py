@@ -35,7 +35,6 @@ from repro.deduction.parser import parse_literal
 from repro.models.display.relational_display import RelationalDisplay
 from repro.models.display.text_dag import TextDAGBrowser
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
 from repro.objects.behaviours import BehaviourBase
 from repro.objects.frame import ObjectFrame
 from repro.objects.object_processor import ObjectProcessor
@@ -51,22 +50,19 @@ class ConceptBase:
 
     def __init__(self, store: Optional[PropositionStore] = None,
                  strict: bool = False,
-                 registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         #: One registry for the whole facade: each component writes its
         #: own namespace (proposition.*, deduction.*, consistency.*, …),
         #: so ``cb.registry.snapshot()`` is the full system census.
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._tracer = tracer
         self.propositions = PropositionProcessor(
-            store=store, registry=self.registry, tracer=tracer
+            store=store, registry=self.registry
         )
         self.objects = ObjectProcessor(self.propositions)
-        self.rules = RuleEngine(self.propositions, registry=self.registry,
-                                tracer=tracer)
+        self.rules = RuleEngine(self.propositions, registry=self.registry)
         self.rules.install_hook()
         self.consistency = ConsistencyChecker(
-            self.propositions, registry=self.registry, tracer=tracer
+            self.propositions, registry=self.registry
         )
         self.consistency.set_rule_source(self.rules.rules)
         self.behaviours = BehaviourBase(self.propositions)
@@ -76,19 +72,12 @@ class ConceptBase:
         #: that carry error-level static diagnostics.
         self.strict = strict
 
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Pin a tracer on every component (``None`` = process default)."""
-        self._tracer = tracer
-        self.propositions.set_tracer(tracer)
-        self.rules.set_tracer(tracer)
-        self.consistency.set_tracer(tracer)
-
     def explain(self):
         """A :class:`~repro.obs.explain.QueryExplain` bound to this
-        facade's registry (and pinned tracer, if any)."""
+        facade's registry."""
         from repro.obs.explain import QueryExplain
 
-        return QueryExplain(self.registry, tracer=self._tracer)
+        return QueryExplain(self.registry)
 
     def metrics_snapshot(self, prefix: str = "") -> Dict[str, Any]:
         """Point-in-time values of every metric the facade owns."""

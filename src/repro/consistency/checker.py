@@ -10,7 +10,7 @@ from repro.assertions.ast import Expression
 from repro.assertions.evaluator import Evaluator
 from repro.assertions.parser import parse_assertion
 from repro.obs.metrics import MetricsRegistry, Namespace
-from repro.obs.tracing import Tracer, get_tracer
+from repro.obs.tracing import get_tracer
 from repro.propositions.processor import PropositionProcessor
 from repro.propositions.proposition import Proposition
 
@@ -117,7 +117,6 @@ class ConsistencyChecker:
         include_deduced: bool = True,
         use_relevance: bool = True,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         from repro.analysis.relevance import RelevanceIndex
 
@@ -131,17 +130,7 @@ class ConsistencyChecker:
         self._rule_source = None
         self._rule_signature: Optional[Tuple[str, ...]] = None
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._tracer = tracer
         self.stats = CheckStats(self.registry.namespace("consistency"))
-
-    @property
-    def tracer(self) -> Tracer:
-        """The checker's tracer (falls back to the process default)."""
-        return self._tracer if self._tracer is not None else get_tracer()
-
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Pin a tracer for this checker (``None`` = process default)."""
-        self._tracer = tracer
 
     def reset_stats(self) -> None:
         """Zero this checker's counters."""
@@ -241,7 +230,7 @@ class ConsistencyChecker:
 
     def check_class(self, cls: str) -> List[Violation]:
         """Check all constraints of ``cls`` over its current extent."""
-        with self.tracer.span("consistency.check_class", cls=cls) as span:
+        with get_tracer().span("consistency.check_class", cls=cls) as span:
             violations = self._check_class(cls)
             span.set(violations=len(violations))
         return violations
@@ -267,7 +256,7 @@ class ConsistencyChecker:
 
     def check_all(self) -> List[Violation]:
         """Check every attached constraint over its class extent."""
-        with self.tracer.span(
+        with get_tracer().span(
             "consistency.check_all", constraints=len(self._constraints)
         ) as span:
             violations = self._check_all()
@@ -312,7 +301,7 @@ class ConsistencyChecker:
         props = list(props)
         evals_before = self.stats.evaluations
         skipped_before = self.stats.skipped
-        with self.tracer.span(
+        with get_tracer().span(
             "consistency.check_batch",
             props=len(props), set_oriented=self.set_oriented,
         ) as span:

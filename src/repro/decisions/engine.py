@@ -39,7 +39,7 @@ from repro.decisions.ledger import DecisionLedger, LedgerRecord
 from repro.errors import BacktrackError, DecisionError
 from repro.objects.frame import parse_frames
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer, get_tracer
+from repro.obs.tracing import get_tracer
 from repro.propositions.serialization import (
     proposition_from_json,
     proposition_to_json,
@@ -67,8 +67,7 @@ class DecisionHistory:
     """Ledger + justification graph + derivations over one base."""
 
     def __init__(self, cb: ConceptBase,
-                 registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         self.cb = cb
         self.proc = cb.propositions
         self.store = self.proc.store
@@ -80,7 +79,6 @@ class DecisionHistory:
         self._g_nodes = ns.gauge("graph_nodes")
         self._g_edges = ns.gauge("graph_edges")
         self._g_fragments = ns.gauge("fragments_rendered")
-        self._tracer = tracer
         #: A durable store hands over the ledger it recovered, once, and
         #: reads this one back through the binding when it checkpoints.
         if isinstance(self.store, WalStore):
@@ -89,10 +87,6 @@ class DecisionHistory:
         else:
             self.ledger = DecisionLedger()
         self._refresh_gauges()
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
 
     def _refresh_gauges(self) -> None:
         graph = self.ledger.graph
@@ -129,8 +123,8 @@ class DecisionHistory:
         spec = json.loads(arg)
         self._validate_spec(spec)
         did = self.ledger.next_did()
-        with self.tracer.span("decisions.decide", did=did,
-                              decision_class=spec["decision_class"]):
+        with get_tracer().span("decisions.decide", did=did,
+                               decision_class=spec["decision_class"]):
             with self.cb.transaction() as telling:
                 for source in spec.get("tell") or []:
                     self.cb.tell(source)
@@ -206,8 +200,8 @@ class DecisionHistory:
         durable = isinstance(self.store, WalStore)
         tick = self.ledger.next_tick()
         reapplied = 0
-        with self.tracer.span("decisions.backtrack", did=did,
-                              condemned=len(victims)):
+        with get_tracer().span("decisions.backtrack", did=did,
+                               condemned=len(victims)):
             with self.cb.transaction():
                 for victim in victims:
                     reapplied += self._undo_delta(victim)

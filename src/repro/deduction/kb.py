@@ -41,7 +41,7 @@ from repro.deduction.seminaive import (
 )
 from repro.deduction.terms import Rule
 from repro.obs.metrics import MetricsRegistry, StatsView
-from repro.obs.tracing import Tracer, get_tracer
+from repro.obs.tracing import get_tracer
 from repro.propositions.processor import PropositionProcessor
 from repro.propositions.proposition import (
     INSTANCEOF,
@@ -206,14 +206,12 @@ class RuleEngine:
     def __init__(self, processor: PropositionProcessor,
                  optimise: bool = True,
                  incremental: bool = True,
-                 registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         self.processor = processor
         self.view = KnowledgeView(processor)
         self.optimise = optimise
         self.incremental = incremental
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._tracer = tracer
         self._metrics = self.registry.namespace("deduction")
         for key in maintenance_stats():
             self._metrics.counter(key)
@@ -226,15 +224,6 @@ class RuleEngine:
         self._fixpoint: Optional[MaterializedFixpoint] = None
         self._edb_rows: Dict[str, Set[Tuple]] = {}
         self._hooked = False
-
-    @property
-    def tracer(self) -> Tracer:
-        """The engine's tracer (falls back to the process default)."""
-        return self._tracer if self._tracer is not None else get_tracer()
-
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Pin a tracer for this engine (``None`` = process default)."""
-        self._tracer = tracer
 
     def reset_stats(self) -> None:
         """Zero this engine's own counters."""
@@ -317,7 +306,7 @@ class RuleEngine:
                 and self._fixpoint is not None):
             self._refresh_fixpoint()
             return self._idb
-        with self.tracer.span(
+        with get_tracer().span(
             "deduction.materialise",
             rules=len(self._rules), epoch=stamp[0],
         ):
@@ -332,14 +321,13 @@ class RuleEngine:
                 )
                 self._fixpoint = MaterializedFixpoint(
                     list(self._rules.values()), edb,
-                    stats=self.stats, tracer=self._tracer,
+                    stats=self.stats,
                 )
                 self._idb = self._fixpoint.database()
             else:
                 self._idb = evaluate(
                     list(self._rules.values()), self.view.database(),
                     optimise=self.optimise, stats=self.stats,
-                    tracer=self._tracer,
                 )
         self._idb_stamp = stamp
         return self._idb
@@ -366,35 +354,6 @@ class RuleEngine:
             self._fixpoint.apply_delta(added, removed)
         self._idb = self._fixpoint.database()
         self._idb_stamp = self.view.stamp()
-
-    def apply_delta(
-        self,
-        added: Iterable[Proposition] = (),
-        removed: Iterable[Proposition] = (),
-    ) -> Database:
-        """Explicit delta entry point: fold knowledge-base changes into
-        the materialised IDB without a from-scratch re-derivation.
-
-        The proposition lists are advisory (they let callers skip the
-        call entirely when a commit touched nothing): the actual fact
-        delta is computed support-set style — each EDB predicate is
-        re-listed from the live view and diffed against the rows the
-        fixpoint was last maintained at, which is what makes shared
-        closure predicates like ``in`` exact regardless of how many
-        propositions support one fact.  Falls back to a full rebuild
-        when incremental maintenance is disabled or nothing is
-        materialised yet.
-        """
-        if (not self.incremental or not self.optimise
-                or self._fixpoint is None):
-            self._idb = None
-            return self.materialise()
-        if (not added and not removed
-                and self._idb_stamp == self.view.stamp()):
-            return self._fixpoint.database()
-        self._refresh_fixpoint()
-        assert self._idb is not None
-        return self._idb
 
     # -- deduced propositions ------------------------------------------------
 

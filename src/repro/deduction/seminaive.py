@@ -28,7 +28,7 @@ from collections import defaultdict
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import DeductionError
-from repro.obs.tracing import Tracer, get_tracer
+from repro.obs.tracing import get_tracer
 from repro.deduction.terms import (
     Constant,
     Literal,
@@ -538,7 +538,6 @@ def evaluate(
     edb: Database,
     optimise: bool = True,
     stats: Optional[Dict[str, int]] = None,
-    tracer: Optional[Tracer] = None,
 ) -> Database:
     """Compute the full IDB: ``edb`` plus everything the rules derive.
 
@@ -555,9 +554,9 @@ def evaluate(
     """
     local = new_stats()
     rules = list(rules)
-    active_tracer = tracer if tracer is not None else get_tracer()
-    with active_tracer.span("deduction.evaluate", rules=len(rules),
-                            optimise=optimise) as evaluate_span:
+    tracer = get_tracer()
+    with tracer.span("deduction.evaluate", rules=len(rules),
+                     optimise=optimise) as evaluate_span:
         full = edb.copy()
         for stratum_index, layer in enumerate(stratify(rules)):
             facts = [rule for rule in layer if rule.is_fact]
@@ -569,7 +568,7 @@ def evaluate(
             while True:
                 local["iterations"] += 1
                 derived = Database()
-                with active_tracer.span(
+                with tracer.span(
                     "deduction.round", stratum=stratum_index,
                     seminaive=delta is not None,
                 ) as round_span:
@@ -740,10 +739,8 @@ class MaterializedFixpoint:
     """
 
     def __init__(self, rules: Iterable[Rule], edb: Database,
-                 stats: Optional[Dict[str, int]] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 stats: Optional[Dict[str, int]] = None) -> None:
         self._stats_sink = stats
-        self._tracer = tracer
         self._rules = list(rules)
         self._strata: List[List[_CompiledRule]] = []
         self._rules_by_head: List[Dict[str, List[_CompiledRule]]] = []
@@ -780,18 +777,16 @@ class MaterializedFixpoint:
         # The initial build is an ordinary evaluation — it reports under
         # the same span names so EXPLAIN trees and the obs smoke gates
         # see one evaluate with its rounds, maintained or not.
-        with self._span("deduction.evaluate", rules=len(self._rules),
-                        optimise=True, maintained=True) as span:
+        with get_tracer().span(
+            "deduction.evaluate", rules=len(self._rules), optimise=True,
+            maintained=True,
+        ) as span:
             for s in range(len(self._strata)):
                 self._build_stratum(s, local)
             span.set(**{k: v for k, v in local.items() if v})
         self._fold(local)
 
     # -- infrastructure ----------------------------------------------------
-
-    def _span(self, name: str, **attrs: Any):
-        tracer = self._tracer if self._tracer is not None else get_tracer()
-        return tracer.span(name, **attrs)
 
     def _fold(self, local: Dict[str, int]) -> None:
         for key, value in local.items():
@@ -879,8 +874,8 @@ class MaterializedFixpoint:
     def _build_stratum(self, s: int, local: Dict[str, int]) -> None:
         if self._stratum_counting[s]:
             local["iterations"] += 1
-            with self._span("deduction.round", stratum=s, seminaive=False,
-                            counting=True) as span:
+            with get_tracer().span("deduction.round", stratum=s,
+                                   seminaive=False, counting=True) as span:
                 derived_count = 0
                 for head in self._stratum_heads[s]:
                     counts = self._counts.setdefault(head, {})
@@ -901,8 +896,8 @@ class MaterializedFixpoint:
         while True:
             local["iterations"] += 1
             derived = Database()
-            with self._span("deduction.round", stratum=s,
-                            seminaive=delta is not None) as span:
+            with get_tracer().span("deduction.round", stratum=s,
+                                   seminaive=delta is not None) as span:
                 for crule in compiled:
                     local["derived_facts"] += len(
                         _evaluate_compiled(crule, self._db, delta, derived,
@@ -935,7 +930,7 @@ class MaterializedFixpoint:
         local["delta_applies"] = 1
         added_all: Dict[str, Set[Fact]] = {}
         removed_all: Dict[str, Set[Fact]] = {}
-        with self._span("deduction.apply_delta") as span:
+        with get_tracer().span("deduction.apply_delta") as span:
             for pred, rows in removed.items():
                 asserted = self._edb.get(pred)
                 for row in rows:

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.errors import ModelError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer, get_tracer
+from repro.obs.tracing import get_tracer
 from repro.propositions.processor import PropositionProcessor
 from repro.propositions.store import WorkspaceStore
 
@@ -51,8 +51,7 @@ class ModelBase:
     """
 
     def __init__(self, processor: Optional[PropositionProcessor] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         if processor is None:
             processor = PropositionProcessor(
                 store=WorkspaceStore(registry=registry), registry=registry
@@ -66,17 +65,7 @@ class ModelBase:
         self._metrics = self.registry.namespace("models")
         self._c_configurations = self._metrics.counter("configurations")
         self._c_definitions = self._metrics.counter("definitions")
-        self._tracer = tracer
         self._models: Dict[str, Model] = {}
-
-    @property
-    def tracer(self) -> Tracer:
-        """The model base's tracer (falls back to the process default)."""
-        return self._tracer if self._tracer is not None else get_tracer()
-
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Pin a tracer for this model base (``None`` = process default)."""
-        self._tracer = tracer
 
     # ------------------------------------------------------------------
     # Lattice construction
@@ -162,7 +151,8 @@ class ModelBase:
         """Activate exactly the given models (plus transitive submodels
         and the system kernel); returns the active set."""
         names = list(names)
-        with self.tracer.span("models.configure", requested=len(names)) as span:
+        with get_tracer().span("models.configure",
+                               requested=len(names)) as span:
             active = self.closure(names)
             for model in self._models:
                 if model in active:

@@ -3,7 +3,8 @@
 Subcommands:
 
 - ``smoke``  — run a small traced workload across every instrumented
-  subsystem (propositions, deduction, consistency, WAL, store, models),
+  subsystem (propositions, deduction, consistency, WAL, store, models,
+  and a service built before tracing went on: server, decisions),
   export the span JSONL and a metric snapshot, print the census.  The
   CI ``obs-smoke`` job runs this and then ``check``\\ s the artifact.
 - ``check``  — gate a trace file: parse must be clean and each required
@@ -39,21 +40,27 @@ from repro.obs.tracing import (
 )
 
 #: Subsystems the smoke workload must produce spans for.
-SMOKE_SUBSYSTEMS = ("proposition", "deduction", "consistency", "wal", "models")
+SMOKE_SUBSYSTEMS = ("proposition", "deduction", "consistency", "wal", "models",
+                    "server", "decisions")
 
 
 def run_smoke(trace_path: str, metrics_path: str,
               wal_dir: Optional[str] = None) -> Dict[str, int]:
     """Drive every instrumented subsystem once, under one tracer.
 
-    Returns the finished-span census per subsystem after writing the
-    JSONL trace and the metric snapshot.
+    The service is built before the tracer goes in, as a server is
+    already running when an operator turns tracing on.  Returns the
+    finished-span census per subsystem after writing the JSONL trace
+    and the metric snapshot.
     """
     from repro.conceptbase import ConceptBase
     from repro.models.model import ModelBase
     from repro.propositions.wal import WalStore
+    from repro.server.client import LocalClient
+    from repro.server.service import GKBMSService
 
     registry = MetricsRegistry()
+    service = GKBMSService(registry=registry)
     tracer = Tracer(enabled=True)
     previous = set_tracer(tracer)
     try:
@@ -98,9 +105,15 @@ def run_smoke(trace_path: str, metrics_path: str,
         models.configure(["system"])
         models.configure(["world"])
 
+        client = LocalClient(service)
+        client.tell("TELL Module IN SimpleClass END")
+        client.decide("Smoke", kind="mapping",
+                      tell=["TELL parser IN Module END"])
+
         log("info", "smoke workload done", logger="repro.obs",
             answers=len(answers), violations=len(violations))
     finally:
+        service.close()
         set_tracer(previous)
     exported = tracer.export_jsonl(trace_path)
     dump_snapshot(metrics_path, registry.snapshot())

@@ -10,6 +10,13 @@ EXPLAIN of the PR 2 workloads reproduces their headline ratios (isa
 expansions saved by the closure caches, join probes saved by the
 compiled plans) from registry data alone.
 
+A capture records only the work of its own context: it installs a
+fresh enabled tracer as the current context's tracer (see
+:func:`~repro.obs.tracing.get_tracer`), so spans other threads open
+meanwhile go to the process default, not into the report.  Its counter
+deltas are registry-wide; a caller that shares the registry with other
+threads (the served ``explain`` op) holds them off for the capture.
+
 Cache attribution falls out of the span protocol: a closure cache *hit*
 never opens a span (it only bumps ``proposition.closure_hits``), so a
 warm query's EXPLAIN shows counter movement with no ``proposition.closure``
@@ -23,7 +30,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry, diff_snapshots
-from repro.obs.tracing import Tracer, render_tree, set_tracer, span_tree
+from repro.obs.tracing import _CONTEXT_TRACER, Tracer, render_tree, span_tree
 
 
 class ExplainReport:
@@ -153,39 +160,25 @@ class ExplainReport:
 
 
 class QueryExplain:
-    """EXPLAIN facade over one registry (usually a facade's).
+    """EXPLAIN facade over one registry (usually a facade's)."""
 
-    ``tracer`` pins the tracer the instrumented components already use
-    (e.g. one injected into a :class:`~repro.conceptbase.ConceptBase`);
-    without it, each capture installs a fresh enabled process-default
-    tracer for its duration and restores the previous one after, so
-    components that resolve :func:`~repro.obs.tracing.get_tracer` at
-    call time are captured automatically.
-    """
-
-    def __init__(self, registry: MetricsRegistry,
-                 tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self._tracer = tracer
 
     @contextmanager
     def capture(self, label: str = "query") -> Iterator[ExplainReport]:
-        """Capture everything run inside the ``with`` block."""
+        """Capture everything run inside the ``with`` block, on this
+        context."""
         report = ExplainReport(label)
-        tracer = self._tracer if self._tracer is not None \
-            else Tracer(enabled=True)
-        previous = set_tracer(tracer) if self._tracer is None else None
-        baseline = len(tracer.spans)
+        tracer = Tracer(enabled=True)
+        token = _CONTEXT_TRACER.set(tracer)
         report.before = self.registry.snapshot()
         try:
             yield report
         finally:
             report.after = self.registry.snapshot()
-            report.span_records = [
-                span.to_json() for span in tracer.spans[baseline:]
-            ]
-            if previous is not None:
-                set_tracer(previous)
+            _CONTEXT_TRACER.reset(token)
+            report.span_records = [span.to_json() for span in tracer.spans]
 
     def explain(self, fn: Callable[[], Any],
                 label: Optional[str] = None) -> ExplainReport:

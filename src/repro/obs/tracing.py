@@ -8,18 +8,22 @@ pass a fake and get deterministic durations), and finished spans export
 as one JSON object per line — the trace artifact the ``obs-smoke`` CI
 job uploads and ``python -m repro.obs`` parses.
 
-The module default tracer is **disabled**: every instrumented call site
-in the processors costs one attribute check and a shared no-op context
-manager until somebody turns tracing on (:func:`enable`, or installing
-an enabled :class:`Tracer` on the component).  Subsystem attribution is
-by name prefix: the segment before the first dot (``proposition``,
-``deduction``, ``consistency``, ``wal``, ``store``, ``models``) is the
-subsystem, mirroring the metric name schema of
+Every instrumented call site asks :func:`get_tracer` for its tracer
+when it opens a span.  That is the current context's tracer while an
+EXPLAIN capture (:class:`~repro.obs.explain.QueryExplain`) runs in it,
+and the process default otherwise.  The process default is
+**disabled**: a span site costs one context-variable read and a shared
+no-op context manager until somebody turns tracing on (:func:`enable`
+or :func:`set_tracer`).  Subsystem attribution is by name prefix: the
+segment before the first dot (``proposition``, ``deduction``,
+``consistency``, ``wal``, ``store``, ``models``, ``server``,
+``decisions``) is the subsystem, mirroring the metric name schema of
 :mod:`repro.obs.metrics`.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import threading
 import time
@@ -297,10 +301,20 @@ def render_tree(roots: List[Dict[str, Any]], max_depth: int = 12) -> str:
 #: instrumented hot paths cost a predicate and a shared no-op object.
 _DEFAULT = Tracer(enabled=False)
 
+#: The current context's tracer, set only for the span of an EXPLAIN
+#: capture (:meth:`repro.obs.explain.QueryExplain.capture`), so that a
+#: capture records its own thread's work and no other's.  Unset, span
+#: sites fall back to the process default.
+_CONTEXT_TRACER: "contextvars.ContextVar[Tracer]" = contextvars.ContextVar(
+    "repro_obs_context_tracer"
+)
+
 
 def get_tracer() -> Tracer:
-    """The process-default tracer (disabled until :func:`enable`)."""
-    return _DEFAULT
+    """The tracer a span site opens its span on: the current context's
+    EXPLAIN tracer if a capture installed one, else the process default
+    (disabled until :func:`enable`)."""
+    return _CONTEXT_TRACER.get(_DEFAULT)
 
 
 def set_tracer(tracer: Tracer) -> Tracer:

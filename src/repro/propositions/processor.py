@@ -37,7 +37,7 @@ from typing import (
 
 from repro.errors import PropositionError, UnknownPropositionError
 from repro.obs.metrics import MetricsRegistry, StatsView
-from repro.obs.tracing import Tracer, get_tracer
+from repro.obs.tracing import get_tracer
 from repro.propositions.axioms import AxiomBase, BOOTSTRAP, KERNEL_CLASSES, KERNEL_PIDS
 from repro.propositions.proposition import (
     INSTANCEOF,
@@ -182,7 +182,6 @@ class PropositionProcessor:
         optimise: bool = True,
         incremental: bool = True,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if registry is None:
             registry = MetricsRegistry()
@@ -205,7 +204,6 @@ class PropositionProcessor:
         # through ``stats``, read-only.
         self.registry = registry
         self._metrics = self.registry.namespace("proposition")
-        self._tracer = tracer
         counter = self._metrics.counter
         self._c_closure_hits = counter("closure_hits")
         self._c_closure_misses = counter("closure_misses")
@@ -250,16 +248,6 @@ class PropositionProcessor:
     def epoch(self) -> int:
         """Monotone counter bumped on every mutation (cache invalidation)."""
         return self._epoch
-
-    @property
-    def tracer(self) -> Tracer:
-        """This processor's tracer (the process default unless one was
-        injected at construction or via :meth:`set_tracer`)."""
-        return self._tracer if self._tracer is not None else get_tracer()
-
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Install (or with ``None`` clear) an instance-level tracer."""
-        self._tracer = tracer
 
     def reset_stats(self) -> None:
         """Zero this processor's own counters.  The read-only durability
@@ -562,8 +550,8 @@ class PropositionProcessor:
         :class:`~repro.obs.explain.QueryExplain` tells cached from cold.
         """
         if not self._optimise:
-            with self.tracer.span("proposition.closure", family=family,
-                                  key=repr(key), cache="off"):
+            with get_tracer().span("proposition.closure", family=family,
+                                   key=repr(key), cache="off"):
                 return compute()
         cache = self._caches[family]
         stamp = self._stamp(family)
@@ -576,8 +564,8 @@ class PropositionProcessor:
             value = cache.table[key]
         except KeyError:
             self._c_closure_misses.inc()
-            with self.tracer.span("proposition.closure", family=family,
-                                  key=repr(key), cache="miss"):
+            with get_tracer().span("proposition.closure", family=family,
+                                   key=repr(key), cache="miss"):
                 value = cache.table[key] = compute()
             return value
         self._c_closure_hits.inc()
@@ -705,7 +693,7 @@ class PropositionProcessor:
 
     def create_proposition(self, prop: Proposition) -> Proposition:
         """Validate ``prop`` against the axiom base and store it."""
-        with self.tracer.span("proposition.tell", pid=prop.pid):
+        with get_tracer().span("proposition.tell", pid=prop.pid):
             self.axioms.validate(self, prop)
             self.store.create(prop)
             self._note_change(prop)
@@ -806,8 +794,8 @@ class PropositionProcessor:
             raise PropositionError(f"kernel proposition {pid!r} cannot be retracted")
         if pid not in self.store:
             raise UnknownPropositionError(f"unknown proposition {pid!r}")
-        with self.tracer.span("proposition.retract", pid=pid,
-                              cascade=cascade) as span:
+        with get_tracer().span("proposition.retract", pid=pid,
+                               cascade=cascade) as span:
             removed = self._retract_closure(pid, cascade)
             span.set(removed=len(removed))
         self._c_retracts.inc()
@@ -885,7 +873,7 @@ class PropositionProcessor:
         interval through it, and backtracking restores a clipped
         interval through it without invalidating warm closure caches."""
         old = self.store.get(prop.pid)
-        with self.tracer.span("proposition.clip", pid=prop.pid):
+        with get_tracer().span("proposition.clip", pid=prop.pid):
             self.store.replace(prop)
             self._note_change(prop, op="clip")
             self._c_clips.inc()

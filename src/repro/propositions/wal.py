@@ -80,7 +80,7 @@ from repro.atomicio import (
 )
 from repro.errors import PersistenceError, PropositionError
 from repro.obs.metrics import MetricsRegistry, StatsView
-from repro.obs.tracing import Tracer, get_tracer
+from repro.obs.tracing import get_tracer
 from repro.propositions.proposition import Pattern, Proposition
 from repro.propositions.store import MemoryStore, PropositionStore
 
@@ -169,8 +169,7 @@ class WalStore(PropositionStore):
 
     def __init__(self, path: str, fsync: str = "commit",
                  io: Optional[FileIO] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         if fsync not in FSYNC_POLICIES:
             raise PersistenceError(
                 f"unknown fsync policy {fsync!r} (choose from {FSYNC_POLICIES})"
@@ -197,7 +196,6 @@ class WalStore(PropositionStore):
         # dict itself, so reopening a processor (or opening two) never
         # mixes closure counters into durability counters again.
         self._metrics = self.registry.namespace("wal")
-        self._tracer = tracer
         self._c = {name: self._metrics.counter(name) for name in self.COUNTERS}
         #: Dict-compatible view over the ``wal.*`` counters.
         self.stats: StatsView = StatsView(self._metrics)
@@ -206,10 +204,6 @@ class WalStore(PropositionStore):
         self._recovered: Dict[str, Dict[str, Any]] = {}  # guarded-by: <writer>
         self._ledger_source = None  # guarded-by: <writer>
         self._recover()
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
 
     def reset_stats(self) -> None:
         """Zero the durability counters (benchmarks should snapshot via
@@ -249,8 +243,8 @@ class WalStore(PropositionStore):
     def _append(self, payload: Dict[str, Any],  # runs-on: writer
                 force: bool = False) -> None:
         data = encode_record(payload)
-        with self.tracer.span("wal.append", op=payload.get("op"),
-                              bytes=len(data)):
+        with get_tracer().span("wal.append", op=payload.get("op"),
+                               bytes=len(data)):
             try:
                 self._io.write(self._handle, data)
             except OSError as exc:
@@ -296,7 +290,7 @@ class WalStore(PropositionStore):
             self._c["group_batches"].inc()
 
     def _force(self) -> None:  # runs-on: writer
-        with self.tracer.span("wal.fsync"):
+        with get_tracer().span("wal.fsync"):
             try:
                 self._io.fsync(self._handle)
             except OSError as exc:
@@ -469,7 +463,7 @@ class WalStore(PropositionStore):
         self._append({"op": "decision_retract", "did": did, "tick": tick})
 
     def _recover(self) -> None:  # runs-on: writer
-        with self.tracer.span("wal.recover", path=self._path) as span:
+        with get_tracer().span("wal.recover", path=self._path) as span:
             self._do_recover()
             span.set(replayed=self._c["replayed"].value,
                      truncated_tail=self._c["truncated_tail"].value,
@@ -524,8 +518,8 @@ class WalStore(PropositionStore):
         dropped = self._c["wal_records"].value - self._records_at_checkpoint
         new_generation = self._generation + 1
         source = self._ledger_source
-        with self.tracer.span("wal.checkpoint", generation=new_generation,
-                              dropped=dropped):
+        with get_tracer().span("wal.checkpoint", generation=new_generation,
+                               dropped=dropped):
             payload = {
                 "generation": new_generation,
                 "propositions": [

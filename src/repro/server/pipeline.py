@@ -58,7 +58,7 @@ import queue
 import threading
 import time
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.concurrency.lockdep import make_lock
 from repro.errors import (
@@ -68,7 +68,7 @@ from repro.errors import (
     ServerRestarting,
 )
 from repro.obs.metrics import Namespace
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import get_tracer
 from repro.propositions.wal import WalStore
 from repro.server.session import StagedOp
 
@@ -116,14 +116,13 @@ class PendingCommit:
 class CommitPipeline:
     """Bounded queue in, one writer thread out, fsync per batch."""
 
-    def __init__(self, apply: ApplyFn, metrics: Namespace, tracer: Tracer,
+    def __init__(self, apply: ApplyFn, metrics: Namespace,
                  wal: Optional[WalStore] = None,
                  max_batch: int = 8,
                  batch_window: float = 0.0,
                  max_queue: int = 128,
                  state: Optional[Dict[str, Any]] = None) -> None:
         self._apply = apply
-        self._tracer = tracer
         self._wal = wal
         self._max_batch = max(1, max_batch)
         self._batch_window = max(0.0, batch_window)
@@ -139,9 +138,10 @@ class CommitPipeline:
         #: Sequence number of the last commit whose batch fsync
         #: succeeded (everything at or below is durable and acked).
         self._acked_seq = 0  # guarded-by: _log_lock
-        #: token -> seq for every *applied* commit, acked or not —
-        #: the writer's own double-apply guard within a poisoned era.
-        self._applied_tokens: Dict[str, int] = {}  # guarded-by: <writer>
+        #: Tokens of the commits applied in the current batch and not yet
+        #: acked — the writer's double-apply guard until the batch's ack
+        #: binds their results.
+        self._applied_tokens: Set[str] = set()  # guarded-by: <writer>
         #: key -> commit seq that last wrote it (writer thread only).
         self._last_write: Dict[str, int] = {}  # guarded-by: <writer>
         self._commit_seq = 0  # guarded-by: <writer>
@@ -156,9 +156,6 @@ class CommitPipeline:
             self._last_write = dict(state.get("last_write", {}))
             self._commit_log = list(state.get("commit_log", []))
             self._token_results = dict(state.get("token_results", {}))
-            self._applied_tokens = {
-                token: 0 for token in self._token_results
-            }
         self._c_committed = metrics.counter("committed")
         self._c_conflicts = metrics.counter("conflicts")
         self._c_errors = metrics.counter("errors")
@@ -421,7 +418,7 @@ class CommitPipeline:
     def _process(self, batch: List[PendingCommit]) -> None:  # runs-on: writer
         fault: Optional[BaseException] = None
         try:
-            with self._tracer.span("server.commit", batch=str(len(batch))):
+            with get_tracer().span("server.commit", batch=str(len(batch))):
                 durability = self._wal.batch() if self._wal is not None \
                     else nullcontext()
                 with durability:
@@ -482,26 +479,28 @@ class CommitPipeline:
             for pending in accepted:
                 if pending.token is not None and pending.result is not None:
                     self._token_results[pending.token] = dict(pending.result)
+                    self._applied_tokens.discard(pending.token)
             while len(self._token_results) > MAX_TOKEN_RESULTS:
                 # dicts iterate in insertion order: drop the oldest ack.
                 self._token_results.pop(next(iter(self._token_results)))
 
     def _process_one(self, pending: PendingCommit) -> None:  # runs-on: writer
-        if pending.token is not None \
-                and pending.token in self._applied_tokens:
-            # Double-apply guard for a token already applied this era
-            # (e.g. two racing retries landing in adjacent batches).
+        if pending.token is not None:
+            # A retry queued before its original acked collects the
+            # recorded result; one whose original applied earlier in
+            # this batch, and so has not acked, must not apply twice.
             cached = self.token_result(pending.token)
             if cached is not None:
                 cached["idempotent"] = True
                 self._c_idempotent.inc()
                 pending.result = cached
-            else:
+                return
+            if pending.token in self._applied_tokens:
                 pending.error = ServerError(
                     f"idempotency token {pending.token!r} is already in "
                     f"flight; its outcome is not yet durable — retry"
                 )
-            return
+                return
         try:
             self._validate(pending)
             result = self._apply(pending)
@@ -523,7 +522,7 @@ class CommitPipeline:
         for key in pending.keys:
             self._last_write[key] = pending.seq
         if pending.token is not None:
-            self._applied_tokens[pending.token] = pending.seq
+            self._applied_tokens.add(pending.token)
         with self._log_lock:
             self._commit_log.append(
                 (pending.seq, pending.session_id, list(pending.ops))

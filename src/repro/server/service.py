@@ -42,7 +42,7 @@ from repro.errors import (
 )
 from repro.obs.explain import QueryExplain
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import get_tracer
 from repro.objects.frame import parse_frames
 from repro.propositions.wal import WalStore
 from repro.server.admission import AdmissionController
@@ -104,7 +104,6 @@ class GKBMSService:
 
     def __init__(self, cb: Optional[ConceptBase] = None, *,
                  registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
                  check_consistency: bool = False,
                  max_sessions: int = 64,
                  max_in_flight: int = 32,
@@ -115,10 +114,9 @@ class GKBMSService:
                  batch_window: float = 0.0,
                  max_queue: int = 128) -> None:
         if cb is None:
-            cb = ConceptBase(registry=registry, tracer=tracer)
+            cb = ConceptBase(registry=registry)
         self.cb = cb
         self.registry = cb.registry
-        self._tracer = tracer if tracer is not None else cb.propositions.tracer
         #: The serving lock: shared for reads, exclusive for applies.
         #: Critical: nothing blocking may run under it — fsync happens
         #: in the pipeline's batch scope *after* the apply releases it.
@@ -158,7 +156,7 @@ class GKBMSService:
         self._fault_listener: Optional[Callable[[BaseException], None]] = None
         store = cb.propositions.store
         self.pipeline = CommitPipeline(
-            self._apply_commit, ns.namespace("commit"), self._tracer,
+            self._apply_commit, ns.namespace("commit"),
             wal=store if isinstance(store, WalStore) else None,
             max_batch=max_batch, batch_window=batch_window,
             max_queue=max_queue,
@@ -169,7 +167,7 @@ class GKBMSService:
         #: The decision-history engine: its ledger is mutated only in
         #: ``_apply_commit`` (writer thread, write lock held) and read
         #: through ``_read`` — the same discipline as the base itself.
-        self.decisions = DecisionHistory(cb, tracer=self._tracer)
+        self.decisions = DecisionHistory(cb)
         if check_consistency:
             cb.enforce_on_commit()
         # Second line of first-committer-wins defence *inside* the
@@ -227,11 +225,11 @@ class GKBMSService:
             self._deadline.value = deadline
             with ExitStack() as stack:
                 if not admitted:
-                    with self._tracer.span("server.admit", op=op):
+                    with get_tracer().span("server.admit", op=op):
                         stack.enter_context(
                             self.admission.admit(session, deadline)
                         )
-                with self._tracer.span("server.execute", op=op):
+                with get_tracer().span("server.execute", op=op):
                     result = self._dispatch(op, session,
                                             frame.get("params", {}))
             return ok_response(request_id, result)
@@ -564,18 +562,12 @@ class GKBMSService:
                 return self.cb.ask(text)
             return [list(row) for row in self.cb.query(text)]
         # EXPLAIN captures exclusively (write side of the lock): the
-        # span tree and counter deltas must not interleave with other
-        # sessions' work.
-        capture_tracer = Tracer(enabled=True)
-        previous = self._tracer
+        # capture's spans are its own context's, but its counter deltas
+        # are registry-wide and must not mix with other sessions' work.
         with self._rwlock.write_locked(self._lock_budget()):
-            self.cb.set_tracer(capture_tracer)
-            try:
-                report = QueryExplain(
-                    self.registry, tracer=capture_tracer
-                ).explain(fn, label=f"{kind}:{text}")
-            finally:
-                self.cb.set_tracer(previous)
+            report = QueryExplain(self.registry).explain(
+                fn, label=f"{kind}:{text}"
+            )
         return {
             "label": report.label,
             "result": report.result,
@@ -706,14 +698,13 @@ class GKBMSService:
             # empty and is rebuilt from the acked commit log, decisions
             # included: either way every acked commit survives the
             # restart.
-            self.decisions = DecisionHistory(cb, tracer=self._tracer)
+            self.decisions = DecisionHistory(cb)
             if not isinstance(store, WalStore):
                 for _seq, _sid, ops in state.get("commit_log", []):
                     if ops and ops[0][0] != "checkpoint":
                         apply_ops(cb, self.decisions, ops)
             self.pipeline = CommitPipeline(
                 self._apply_commit, self._ns.namespace("commit"),
-                self._tracer,
                 wal=store if isinstance(store, WalStore) else None,
                 state=state, **self._pipeline_conf,
             )

@@ -188,10 +188,7 @@ class ServiceSupervisor:
         if not isinstance(old_store, WalStore):
             # Memory-backed service: nothing on disk to recover; the
             # service rebuilds the fresh base from the acked commit log.
-            cb = ConceptBase(
-                store=None, registry=service.registry,
-                tracer=service._tracer,
-            )
+            cb = ConceptBase(store=None, registry=service.registry)
             service.complete_restart(cb, state)
             return
         path = old_store.path
@@ -208,13 +205,9 @@ class ServiceSupervisor:
             # unacknowledged commits must not resurrect.
             REAL_IO.truncate(path, durable)
         store = WalStore(
-            path, fsync=policy, io=REAL_IO,
-            registry=service.registry, tracer=service._tracer,
+            path, fsync=policy, io=REAL_IO, registry=service.registry,
         )
-        cb = ConceptBase(
-            store=store, registry=service.registry,
-            tracer=service._tracer,
-        )
+        cb = ConceptBase(store=store, registry=service.registry)
         service.complete_restart(cb, state)
 
 

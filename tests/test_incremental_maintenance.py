@@ -230,17 +230,18 @@ class TestRuleEngineWiring:
         assert engine.stats["idb_refreshes"] == 1
         assert engine.stats["delta_applies"] >= 1
 
-    def test_apply_delta_entry_point(self):
+    def test_materialise_maintains_tell_and_retract(self):
         proc, engine = self.make_engine()
         proc.tell_individual("ann", in_class="Person")
         proc.tell_individual("bob", in_class="Person")
         engine.materialise()
         link = proc.tell_link("ann", "works_with", "bob")
-        idb = engine.apply_delta(added=[link])
+        idb = engine.materialise()
         assert idb.contains("attr", ("ann", "colleague", "bob"))
-        removed = proc.retract(link.pid)
-        idb = engine.apply_delta(removed=removed)
+        proc.retract(link.pid)
+        idb = engine.materialise()
         assert not idb.contains("attr", ("ann", "colleague", "bob"))
+        assert engine.stats["materialisations"] == 1  # refreshed, never rebuilt
 
     def test_incremental_matches_rebuild_engine(self):
         proc_a, engine_a = self.make_engine(incremental=True)

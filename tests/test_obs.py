@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -450,6 +451,42 @@ class TestQueryExplain:
         assert report.delta("proposition.tells") > 0
         assert "EXPLAIN tell" in report.render()
 
+    def test_capture_records_only_its_own_thread(self):
+        """Another thread telling into another base meanwhile opens its
+        spans on the (disabled) process default, not in the report."""
+        from repro.conceptbase import ConceptBase
+
+        cb = ConceptBase()
+        cb.tell("TELL Person IN SimpleClass END")
+        other = ConceptBase()
+        other.tell("TELL Person IN SimpleClass END")
+        told = []
+        stop = threading.Event()
+
+        def tell_others():
+            while not stop.is_set():
+                other.tell(f"TELL p{len(told)} IN Person END")
+                told.append(1)
+
+        worker = threading.Thread(target=tell_others)
+        worker.start()
+        try:
+            with cb.explain().capture("tell") as report:
+                before = len(told)
+                cb.tell("TELL ann IN Person END")
+                # the other thread keeps telling while the capture is open
+                deadline = time.monotonic() + 5
+                while len(told) < before + 3 and time.monotonic() < deadline:
+                    stop.wait(0.001)
+                overlapped = len(told) - before
+        finally:
+            stop.set()
+            worker.join(5)
+        assert not worker.is_alive()
+        assert overlapped >= 3
+        tells = report.spans_named("proposition.tell")
+        assert len(tells) == 2  # ann and its instanceof link
+
     def test_capture_restores_previous_tracer(self):
         from repro.obs.tracing import get_tracer
 
@@ -476,7 +513,7 @@ class TestObsCli:
                      "--wal-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         for subsystem in ("proposition", "deduction", "consistency",
-                          "wal", "models"):
+                          "wal", "models", "server", "decisions"):
             assert f"{subsystem}:" in out
 
         assert main(["check", trace]) == 0

@@ -27,6 +27,7 @@ per-scenario reports are dumped there as the non-gating CI artifact.
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -408,20 +409,91 @@ class TestIdempotencyTokens:
         assert service.pipeline.token_result("never-seen") is None
         service.close()
 
-    def test_token_results_are_bounded(self):
-        from repro.server.pipeline import MAX_TOKEN_RESULTS
+    def test_token_results_are_bounded(self, monkeypatch):
+        """Past ``MAX_TOKEN_RESULTS`` later acks a token's result is
+        evicted, and a retry that late applies again; the applied-token
+        guard holds nothing once every batch has acked."""
+        from repro.server import pipeline as pipeline_module
+        monkeypatch.setattr(pipeline_module, "MAX_TOKEN_RESULTS", 2)
         service = GKBMSService(ConceptBase())
         pipeline = service.pipeline
         client = LocalClient(service)
-        for n in range(3):
-            service.handle({
+
+        def tell(n, token):
+            return service.handle({
                 "id": n, "op": "tell", "session": client.session,
-                "params": {"source": f"TELL Bound{n} END",
-                           "token": f"tok-{n}"},
+                "params": {"source": f"TELL Bound{n} END", "token": token},
             })
+
+        first = tell(0, "tok-0")
+        for n in range(1, 4):
+            assert tell(n, f"tok-{n}")["ok"]
         with pipeline._log_lock:
-            assert len(pipeline._token_results) <= MAX_TOKEN_RESULTS
+            assert list(pipeline._token_results) == ["tok-2", "tok-3"]
+        late = tell(0, "tok-0")
+        assert late["ok"], late
+        assert "idempotent" not in late["result"]
+        assert late["result"]["commit_seq"] > first["result"]["commit_seq"]
+        with pipeline._log_lock:
+            assert len(pipeline._token_results) == 2
         service.close()
+        assert pipeline._applied_tokens == set()
+
+    def test_same_batch_duplicate_token_applies_once(self):
+        """Two submits of one token in one batch: the first applies,
+        the second is refused as in flight (nothing has acked yet)."""
+        from repro.server.pipeline import CommitPipeline
+        started, gate = threading.Event(), threading.Event()
+        applied = []
+
+        def apply(pending):
+            if pending.session_id == "blocker":
+                started.set()
+                gate.wait(5)
+            applied.append(pending.session_id)
+            return {}
+
+        pipeline = CommitPipeline(
+            apply, MetricsRegistry().namespace("server.commit"), max_batch=8
+        )
+        outcomes = {}
+
+        def submit(session_id, token):
+            try:
+                outcomes[session_id] = pipeline.submit(
+                    [("tell", session_id)], [], None, session_id, token=token
+                )
+            except ServerError as exc:
+                outcomes[session_id] = exc
+
+        threads = [threading.Thread(target=submit, args=("blocker", None))]
+        threads[0].start()
+        try:
+            assert started.wait(5)
+            for session_id in ("first", "second"):
+                thread = threading.Thread(target=submit,
+                                          args=(session_id, "tok-dup"))
+                thread.start()
+                threads.append(thread)
+                # queue the two in order, behind the blocked batch
+                deadline = time.monotonic() + 5
+                while pipeline._queue.qsize() < len(threads) - 1 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            assert pipeline._queue.qsize() == 2
+            gate.set()
+            for thread in threads:
+                thread.join(5)
+                assert not thread.is_alive()
+        finally:
+            gate.set()
+            pipeline.close()
+        assert applied == ["blocker", "first"]
+        assert isinstance(outcomes["first"], dict)
+        refused = outcomes["second"]
+        assert isinstance(refused, ServerError)
+        assert "already in flight" in str(refused)
+        assert pipeline.token_result("tok-dup") == outcomes["first"]
 
     def test_export_state_drops_unacked_commits(self):
         service = GKBMSService(ConceptBase())

@@ -21,18 +21,19 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, FaultyIO, WriteFault
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Tracer, disable, enable, get_tracer, set_tracer
 from repro.propositions.processor import PropositionProcessor
 from repro.propositions.proposition import individual
 from repro.propositions.store import WorkspaceStore
 from repro.propositions.wal import WalStore
 from repro.server import protocol
 from repro.server.admission import AdmissionController
-from repro.server.client import LocalClient
+from repro.server.client import LocalClient, PipelinedTCPClient, TCPClient
 from repro.server.locks import ReadWriteLock
 from repro.server.pipeline import CommitPipeline
 from repro.server.service import GKBMSService
 from repro.server.session import SessionManager
+from repro.server.tcp import AsyncGKBMSServer, GKBMSServer
 
 
 def _ns(prefix="server"):
@@ -562,8 +563,7 @@ class TestPipeline:
     def _pipeline(self, apply, **kw):
         registry = MetricsRegistry()
         pipeline = CommitPipeline(
-            apply, registry.namespace("server.commit"),
-            Tracer(enabled=False), **kw
+            apply, registry.namespace("server.commit"), **kw
         )
         return pipeline, registry
 
@@ -707,8 +707,7 @@ class TestPipelineDurabilityFaults:
     def _pipeline(self, apply, **kw):
         registry = MetricsRegistry()
         pipeline = CommitPipeline(
-            apply, registry.namespace("server.commit"),
-            Tracer(enabled=False), **kw
+            apply, registry.namespace("server.commit"), **kw
         )
         return pipeline, registry
 
@@ -981,6 +980,9 @@ class TestServiceOps:
         report = client.explain("in(?x, Doc)", kind="query")
         assert report["label"].startswith("query:")
         assert "headline" in report and "render" in report
+        # a cold query computes its closures, and the report shows them
+        assert report["subsystems"]["proposition"] >= 1
+        assert report["headline"]["closure_spans"] >= 1
 
     def test_stats_exposes_server_metrics(self, service):
         client = LocalClient(service)
@@ -1107,3 +1109,84 @@ class TestObsThreadSafety:
         ids = [span.span_id for span in tracer.spans]
         assert len(ids) == expected
         assert len(set(ids)) == expected
+
+
+# ----------------------------------------------------------------------
+# Which tracer a served span lands on
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def restore_tracer():
+    """Puts back the process-default tracer a test swaps."""
+    previous = get_tracer()
+    yield
+    set_tracer(previous)
+
+
+def _tell_and_decide(service):
+    client = LocalClient(service)
+    client.tell("TELL K IN SimpleClass END")
+    client.decide("Map", kind="mapping", tell=["TELL R IN K END"])
+
+
+class TestTracerScope:
+    """A served span opens on the process default at the moment it
+    opens: a running service follows ``enable``/``disable``, and a
+    served ``explain`` leaves the choice as it found it."""
+
+    def test_service_built_before_enable_is_traced(self, restore_tracer):
+        service = GKBMSService(batch_window=0.0)
+        try:
+            tracer = enable()
+            _tell_and_decide(service)
+        finally:
+            service.close()
+        names = {span.name for span in tracer.spans}
+        assert {"server.execute", "server.commit",
+                "decisions.decide"} <= names
+
+    def test_service_built_after_enable_stops_at_disable(
+            self, restore_tracer):
+        tracer = enable()
+        service = GKBMSService(batch_window=0.0)
+        try:
+            built = len(tracer.spans)
+            disable()
+            _tell_and_decide(service)
+        finally:
+            service.close()
+        assert len(tracer.spans) == built
+
+    def test_served_explain_leaves_tracing_switchable(self, restore_tracer):
+        service = GKBMSService(batch_window=0.0)
+        try:
+            client = LocalClient(service)
+            client.tell("TELL Doc IN SimpleClass END")
+            client.explain("in(?x, Doc)", kind="query")
+            tracer = enable()
+            client.tell("TELL D1 IN Doc END")
+        finally:
+            service.close()
+        assert any(span.name == "proposition.tell" for span in tracer.spans)
+
+    @pytest.mark.parametrize("server_cls, client_cls", [
+        (GKBMSServer, TCPClient),
+        (AsyncGKBMSServer, PipelinedTCPClient),
+    ], ids=["threaded", "async"])
+    def test_served_explain_lists_cold_query_spans(self, server_cls,
+                                                   client_cls):
+        tcp = server_cls(("127.0.0.1", 0), GKBMSService(batch_window=0.0))
+        tcp.serve_in_thread()
+        try:
+            client = client_cls(tcp.host, tcp.port)
+            client.tell("TELL Doc IN SimpleClass END")
+            client.tell("TELL D1 IN Doc END")
+            report = client.explain("in(?x, Doc)", kind="query")
+            client.close()
+        finally:
+            tcp.close()
+        assert report["result"] == [["D1", "Doc"]]
+        assert report["subsystems"]["proposition"] >= 1
+        assert report["headline"]["closure_spans"] >= 1
+        assert "proposition.closure" in report["render"]
