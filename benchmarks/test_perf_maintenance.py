@@ -4,7 +4,7 @@ Two ablations of ``incremental`` maintenance, both asserted through
 machine-independent structural counters:
 
 - **Closure caches under a mixed workload** (tells, retracts and
-  closure queries interleaved): with delta maintenance the six closure
+  closure queries interleaved): with delta maintenance the five closure
   families are patched in place, so cache *invalidations* — each one a
   thrown-away family another query must rebuild — drop by at least 5x
   against the epoch-invalidation ablation, on identical answers.
@@ -16,10 +16,15 @@ machine-independent structural counters:
 - **Savepoint rollbacks**: a rollback reverses its telling change by
   change through the same delta maintenance, so the rollback oracle's
   seeded interleavings throw away no closure family at all.
+
+A fourth gate reads the maintained path alone: **a tell's cache upkeep
+does not grow with the cache** — the closure lookups one classified
+attribute tell makes are the same however many classes are warm.
 """
 
 import pytest
 
+from repro.conceptbase import ConceptBase
 from repro.deduction.kb import RuleEngine
 from repro.propositions import PropositionProcessor
 from tests.test_incremental_oracle import rollback_interleaving
@@ -218,3 +223,53 @@ def test_rollback_maintenance_counts(perf_counters):
     print(f"\nPerf-9c over {ROLLBACK_SEEDS} seeds: "
           f"{totals['tellings_rolled_back']} rollbacks, "
           f"{totals['closure_invalidations']} closure invalidations")
+
+
+# ---------------------------------------------------------------------------
+# Part D: a tell's cache upkeep against the size of the warm cache
+# ---------------------------------------------------------------------------
+
+UPKEEP_LEAVES = (10, 30, 300)
+
+
+def warm_leaf_base(leaves: int) -> ConceptBase:
+    """``leaves`` subclasses of ``Paper`` (which declares a ``sender``
+    attribute class), one document each, with every leaf's extension,
+    classes and attribute classes read once."""
+    cb = ConceptBase()
+    cb.tell("TELL Person IN SimpleClass END")
+    cb.tell("TELL bob IN Person END")
+    cb.tell("TELL Paper IN SimpleClass WITH\n  attribute sender : Person\nEND")
+    for index in range(leaves):
+        cb.tell(f"TELL Leaf{index} IN SimpleClass ISA Paper END")
+        cb.tell(f"TELL doc{index} IN Leaf{index} WITH\n"
+                f"  attribute sender : bob\nEND")
+    proc = cb.propositions
+    for index in range(leaves):
+        proc.instances_of(f"Leaf{index}")
+        proc.classes_of(f"Leaf{index}")
+        proc.attribute_classes(f"Leaf{index}")
+    return cb
+
+
+def test_tell_maintenance_counts(perf_counters):
+    """Acceptance (Perf-9d): one classified document with one ``sender``
+    link, told inside a telling, makes the same number of closure
+    lookups (hits plus misses) with 10, 30 and 300 warm leaf classes —
+    its upkeep visits what the new edges reach, not every cached key."""
+    lookups = {}
+    for leaves in UPKEEP_LEAVES:
+        cb = warm_leaf_base(leaves)
+        proc = cb.propositions
+        before = proc.stats["closure_hits"] + proc.stats["closure_misses"]
+        with cb.telling():
+            cb.tell("TELL fresh IN Leaf0 WITH\n  attribute sender : bob\nEND")
+        lookups[leaves] = (proc.stats["closure_hits"]
+                           + proc.stats["closure_misses"] - before)
+        assert proc.classification_of_link("fresh.sender") == {"Paper.sender"}
+        assert "fresh" in proc.instances_of("Paper")
+    perf_counters(**{f"tell_upkeep_lookups_{leaves}_leaves": count
+                     for leaves, count in lookups.items()})
+    assert len(set(lookups.values())) == 1, lookups
+    print(f"\nPerf-9d closure lookups per tell by warm leaf classes: "
+          f"{lookups}")

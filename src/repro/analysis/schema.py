@@ -108,8 +108,7 @@ def _category_resolvable(
     classes: Set[str] = set(frame.in_classes)
     if processor.exists(frame.name):
         classes |= processor.classes_of(frame.name)
-    return any(prop.label == category
-               for prop in processor.attribute_classes_of(classes)) \
+    return bool(processor.attribute_classes_of(classes, category)) \
         or processor.exists(category)
 
 

@@ -44,16 +44,14 @@ class ObjectTransformer:
         attribute class with the same *label*; any other category must
         name the label of an attribute class on one of the owner's
         classes (or be the pid of an attribute class)."""
+        by_label = decl.category.lower() == "attribute"
         candidates = self.processor.attribute_classes_of(
-            self.processor.classes_of(owner))
-        if decl.category.lower() == "attribute":
-            for prop in candidates:
-                if prop.label == decl.label:
-                    return prop.pid
+            self.processor.classes_of(owner),
+            decl.label if by_label else decl.category)
+        if candidates:
+            return candidates[0].pid
+        if by_label:
             return "Attribute"
-        for prop in candidates:
-            if prop.label == decl.category:
-                return prop.pid
         if self.processor.exists(decl.category):
             return decl.category
         raise PropositionError(

@@ -49,9 +49,10 @@ def run_smoke(trace_path: str, metrics_path: str,
     """Drive every instrumented subsystem once, under one tracer.
 
     The service is built before the tracer goes in, as a server is
-    already running when an operator turns tracing on.  Returns the
-    finished-span census per subsystem after writing the JSONL trace
-    and the metric snapshot.
+    already running when an operator turns tracing on.  Every run starts
+    from an empty base: an earlier smoke's ``smoke.wal`` and snapshots
+    in ``wal_dir`` are removed first.  Returns the finished-span census
+    per subsystem after writing the JSONL trace and the metric snapshot.
     """
     from repro.conceptbase import ConceptBase
     from repro.models.model import ModelBase
@@ -63,11 +64,16 @@ def run_smoke(trace_path: str, metrics_path: str,
     service = GKBMSService(registry=registry)
     tracer = Tracer(enabled=True)
     previous = set_tracer(tracer)
+    store = None
     try:
         if wal_dir is None:
             wal_dir = tempfile.mkdtemp(prefix="obs-smoke-")
-        store = WalStore(os.path.join(wal_dir, "smoke.wal"),
-                         registry=registry)
+        wal_path = os.path.join(wal_dir, "smoke.wal")
+        for stale in (wal_path, wal_path + ".snapshot",
+                      wal_path + ".snapshot.prev"):
+            if os.path.exists(stale):
+                os.remove(stale)
+        store = WalStore(wal_path, registry=registry)
         cb = ConceptBase(store=store, registry=registry)
         cb.define_metaclass("TDL_EntityClass")
         cb.tell(
@@ -115,6 +121,8 @@ def run_smoke(trace_path: str, metrics_path: str,
     finally:
         service.close()
         set_tracer(previous)
+        if store is not None:
+            store.close()
     exported = tracer.export_jsonl(trace_path)
     dump_snapshot(metrics_path, registry.snapshot())
     log("info", "smoke artifacts written", logger="repro.obs",

@@ -16,11 +16,12 @@ derived views further up the stack.
 
 The closure queries (``generalizations``, ``classes_of``, ``is_class``,
 ...) are memoised in epoch-validated caches.  Invalidation is
-fine-grained: three sub-epochs track isa links, instanceof links and
-plain attribute links separately, so an attribute-heavy telling keeps
-the specialization closures warm while a taxonomy change drops exactly
-the caches that could have changed.  ``optimise=False`` bypasses the
-caches entirely (the ablation path measured by benchmark Perf-6);
+fine-grained: two sub-epochs track isa links and instanceof links
+separately, and plain attribute links touch no cache, so an
+attribute-heavy telling keeps every closure warm while a taxonomy
+change moves exactly the caches that could have changed.
+``optimise=False`` bypasses the caches entirely (the ablation path
+measured by benchmark Perf-6);
 ``stats`` counts hits, misses, invalidations and raw isa-BFS expansions
 so speedups can be asserted structurally, like the prover's lemma
 statistics.
@@ -192,7 +193,6 @@ class PropositionProcessor:
         # Fine-grained invalidation signals: which *kind* of link changed.
         self._isa_epoch = 0
         self._instanceof_epoch = 0
-        self._attribute_epoch = 0
         self._optimise = optimise
         # Delta-maintain closure caches on every change instead of
         # letting the moved sub-epoch invalidate them wholesale.
@@ -225,7 +225,7 @@ class PropositionProcessor:
             family: _ClosureCache()
             for family in (
                 "generalizations", "specializations", "classes_of",
-                "instances_of", "is_class", "attribute_classes",
+                "instances_of", "is_class",
             )
         }
         self._tellings: List[Telling] = []
@@ -262,10 +262,11 @@ class PropositionProcessor:
         """Record which invalidation class a created/deleted/clipped
         proposition falls into.  Individuals never affect closures (the
         only membership they change, ``x in store``, is always checked
-        live), so only links bump the fine-grained sub-epochs.  The one
-        exception: an individual *named* ``isa``/``instanceof`` matches
-        the reserved-label retrieval patterns, so it is classified by
-        its label like a link would be.
+        live), and no cached family reads a plain attribute link, so
+        only isa and instanceof links bump the fine-grained sub-epochs.
+        The one exception: an individual *named* ``isa``/``instanceof``
+        matches the reserved-label retrieval patterns, so it is
+        classified by its label like a link would be.
 
         On the optimised incremental path the bumped sub-epoch no longer
         dooms the dependent closure caches: every cache that was valid
@@ -290,17 +291,15 @@ class PropositionProcessor:
         elif prop.is_instanceof:
             kind = "instanceof"
         else:
-            kind = "attribute"
+            return
         incremental = self._optimise and self._incremental
         pre: Optional[Dict[str, Tuple[int, ...]]] = None
         if incremental:
             pre = {family: self._stamp(family) for family in self._caches}
         if kind == "isa":
             self._isa_epoch += 1
-        elif kind == "instanceof":
-            self._instanceof_epoch += 1
         else:
-            self._attribute_epoch += 1
+            self._instanceof_epoch += 1
         if not incremental:
             return
         assert pre is not None
@@ -325,27 +324,22 @@ class PropositionProcessor:
 
     def _apply_closure_delta(self, kind: str, op: str,
                              prop: Proposition, fresh: Set[str]) -> None:
-        """Fold one changed link into every still-valid closure cache.
+        """Fold one changed isa or instanceof link into every still-valid
+        closure cache.
 
         ``fresh`` names the families whose stamps were just advanced;
-        only their tables are touched.  Set-valued families are extended
-        in place on tell and shrunk/evicted on retract; the
-        order-sensitive ``attribute_classes`` family is always evicted
-        per affected key (an in-place append could diverge from the
-        iteration order a fresh compute would produce).  Clips keep
-        every name-set cache (validity intervals are invisible to them)
-        and only evict attribute tuples, which embed the clipped
-        proposition object."""
+        only their tables are touched.  Every family holds name sets, so
+        tables are extended in place on tell and shrunk/evicted on
+        retract.  ``instances_of`` is patched through the keys of the
+        edge's destination and its generalizations, the only classes
+        whose extension can see the edge, so its upkeep costs what the
+        edge reaches rather than what the cache holds.  Clips keep every
+        table: validity intervals are invisible to the name sets."""
         applied = 0
         evicted = 0
-        source, label, destination = prop.source, prop.label, prop.destination
+        source, destination = prop.source, prop.destination
         caches = self._caches
-        if kind == "attribute":
-            # Only attribute_classes depends on the attribute sub-epoch,
-            # and create/delete/clip all invalidate the same keys.
-            if "attribute_classes" in fresh:
-                evicted += self._evict_attribute_keys(source, label)
-        elif kind == "isa" and op == "create":
+        if kind == "isa" and op == "create":
             if "generalizations" in fresh and caches["generalizations"].table:
                 table = caches["generalizations"].table
                 gain = {destination} | set(
@@ -380,20 +374,13 @@ class PropositionProcessor:
             if "instances_of" in fresh and caches["instances_of"].table:
                 table = caches["instances_of"].table
                 gain = self.instances_of(source)
-                for key, value in list(table.items()):
-                    cls, direct = key
-                    if direct:
-                        continue  # direct extensions ignore isa edges
-                    if destination == cls or destination in self.specializations(cls):
-                        table[key] = frozenset(value | gain)
+                for cls in self.generalizations(destination):
+                    value = table.get((cls, False))
+                    if value is not None:
+                        table[(cls, False)] = frozenset(value | gain)
                         applied += 1
             if "is_class" in fresh:
                 evicted += self._drop_false_classhood()
-            if "attribute_classes" in fresh:
-                # Classes reaching the new edge's source now inherit the
-                # target's attributes, whatever their labels.
-                evicted += self._evict_attribute_keys(source, None,
-                                                      any_label=True)
         elif kind == "isa" and op == "delete":
             if "generalizations" in fresh and caches["generalizations"].table:
                 table = caches["generalizations"].table
@@ -415,12 +402,8 @@ class PropositionProcessor:
                         evicted += 1
             if "instances_of" in fresh and caches["instances_of"].table:
                 table = caches["instances_of"].table
-                for key, value in list(table.items()):
-                    cls, direct = key
-                    if direct:
-                        continue
-                    if destination == cls or destination in self.specializations(cls):
-                        del table[key]
+                for cls in self.generalizations(destination):
+                    if table.pop((cls, False), None) is not None:
                         evicted += 1
             if "is_class" in fresh and caches["is_class"].table:
                 # Classhood can only flip off when the lost reachability
@@ -431,9 +414,6 @@ class PropositionProcessor:
                     table = caches["is_class"].table
                     evicted += len(table)
                     table.clear()
-            if "attribute_classes" in fresh:
-                evicted += self._evict_attribute_keys(source, None,
-                                                      any_label=True)
         elif kind == "instanceof" and op == "create":
             if "classes_of" in fresh and caches["classes_of"].table:
                 table = caches["classes_of"].table
@@ -446,13 +426,11 @@ class PropositionProcessor:
                     applied += 1
             if "instances_of" in fresh and caches["instances_of"].table:
                 table = caches["instances_of"].table
-                for key, value in list(table.items()):
-                    cls, direct = key
-                    if direct:
-                        if cls == destination:
-                            table[key] = frozenset(value | {source})
-                            applied += 1
-                    elif destination == cls or destination in self.specializations(cls):
+                keys = [(destination, True)]
+                keys.extend((cls, False) for cls in self.generalizations(destination))
+                for key in keys:
+                    value = table.get(key)
+                    if value is not None:
                         table[key] = frozenset(value | {source})
                         applied += 1
             if "is_class" in fresh:
@@ -470,18 +448,21 @@ class PropositionProcessor:
                     )
                     if p.is_link
                 }
-                for key, value in list(table.items()):
-                    cls, direct = key
-                    if source not in value:
-                        continue
-                    if direct:
-                        if cls == destination and destination not in remaining:
-                            table[key] = frozenset(value - {source})
-                            applied += 1
-                    elif destination == cls or destination in self.specializations(cls):
-                        if not (remaining & self.specializations(cls)):
-                            table[key] = frozenset(value - {source})
-                            applied += 1
+                value = table.get((destination, True))
+                if (value is not None and source in value
+                        and destination not in remaining):
+                    table[(destination, True)] = frozenset(value - {source})
+                    applied += 1
+                # ``source`` stays in the extension of every class some
+                # surviving direct class specializes.
+                kept: Set[str] = set()
+                for cls in remaining:
+                    kept |= self.generalizations(cls)
+                for cls in self.generalizations(destination) - kept:
+                    value = table.get((cls, False))
+                    if value is not None and source in value:
+                        table[(cls, False)] = frozenset(value - {source})
+                        applied += 1
             if "is_class" in fresh and caches["is_class"].table:
                 table = caches["is_class"].table
                 if table.pop(source, None) is not None:
@@ -497,25 +478,6 @@ class PropositionProcessor:
             self._c_closure_delta_applied.inc(applied)
         if evicted:
             self._c_closure_delta_evictions.inc(evicted)
-
-    def _evict_attribute_keys(self, source: str, label: Optional[str],
-                              any_label: bool = False) -> int:
-        """Evict ``attribute_classes`` keys that can see an attribute
-        link leaving ``source`` (directly or by inheritance).  With
-        ``any_label`` every label is affected — the isa-change case,
-        where inherited attributes of all labels move at once."""
-        table = self._caches["attribute_classes"].table
-        if not table:
-            return 0
-        evicted = 0
-        for key in list(table):
-            cls, wanted = key
-            if not any_label and wanted is not None and wanted != label:
-                continue
-            if cls == source or source in self.generalizations(cls):
-                del table[key]
-                evicted += 1
-        return evicted
 
     def _drop_false_classhood(self) -> int:
         """New isa/instanceof edges are monotone for classhood: cached
@@ -533,8 +495,6 @@ class PropositionProcessor:
         visibility = self.store.visibility_epoch
         if family in ("generalizations", "specializations"):
             return (self._isa_epoch, visibility)
-        if family == "attribute_classes":
-            return (self._isa_epoch, self._attribute_epoch, visibility)
         # classes_of / instances_of / is_class: classification closed
         # over specialization.
         return (self._isa_epoch, self._instanceof_epoch, visibility)
@@ -1052,31 +1012,30 @@ class PropositionProcessor:
 
     def attribute_classes(self, cls: str, label: Optional[str] = None) -> List[Proposition]:
         """Attribute links defined on ``cls`` or inherited from its
-        generalizations — the paper's inherited propositions.  The order
-        depends on neither the hash seed nor the store's history: ``cls``
-        first, then its generalizations by name; within one class, by
-        pid."""
+        generalizations — the paper's inherited propositions.  Worked
+        out on each call from the cached ``generalizations`` closure and
+        the store's source/label index.  The order depends on neither
+        the hash seed nor the store's history: ``cls`` first, then its
+        generalizations by name; within one class, by pid."""
+        owners = [cls, *sorted(self._isa_closure(cls, down=False))]
+        return [
+            prop
+            for owner in owners
+            for prop in sorted(self.attributes_of(owner, label=label),
+                               key=lambda p: p.pid)
+        ]
 
-        def compute() -> Tuple[Proposition, ...]:
-            owners = [cls, *sorted(self._isa_closure(cls, down=False))]
-            return tuple(
-                prop
-                for owner in owners
-                for prop in sorted(self.attributes_of(owner, label=label),
-                                   key=lambda p: p.pid)
-            )
-
-        return list(self._cached("attribute_classes", (cls, label), compute))
-
-    def attribute_classes_of(self, classes: Iterable[str]) -> List[Proposition]:
+    def attribute_classes_of(self, classes: Iterable[str],
+                             label: Optional[str] = None) -> List[Proposition]:
         """The attribute classes of each of ``classes`` (by name, each
         in :meth:`attribute_classes` order), every one once: a class
         that an earlier one already listed, by inheritance, keeps its
-        first place."""
+        first place.  ``label`` keeps only the classes with that label,
+        the same subsequence in the same order."""
         seen: Set[str] = set()
         out: List[Proposition] = []
         for cls in sorted(classes):
-            for prop in self.attribute_classes(cls):
+            for prop in self.attribute_classes(cls, label):
                 if prop.pid not in seen:
                     seen.add(prop.pid)
                     out.append(prop)

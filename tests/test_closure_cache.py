@@ -20,6 +20,7 @@ from repro.conceptbase import ConceptBase
 from repro.errors import AxiomViolation, PropositionError
 from repro.propositions import PropositionProcessor, WorkspaceStore
 from repro.propositions.axioms import KERNEL_PIDS
+from repro.propositions.proposition import INSTANCEOF, Pattern
 from repro.timecalc.interval import Interval
 
 
@@ -74,6 +75,26 @@ class TestInvalidationEdges:
         assert "x" not in proc.instances_of("A")
         assert "A" not in proc.classes_of("x")
 
+    def test_isa_retract_shrinks_every_ancestor_extension(self):
+        """Cutting ``Leaf ISA Mid`` takes ``Leaf``'s instance out of the
+        extension of ``Mid`` and of ``Mid``'s generalization ``Top``."""
+        pair = make_pair()
+        links = []
+        for proc in pair:
+            proc.define_class("Top")
+            proc.define_class("Mid", isa=["Top"])
+            proc.define_class("Leaf")
+            links.append(proc.tell_isa("Leaf", "Mid").pid)
+            proc.tell_individual("x", in_class="Leaf")
+        cached, uncached = pair
+        assert "x" in cached.instances_of("Top")  # warm
+        assert "x" in cached.instances_of("Mid")
+        for proc, pid in zip(pair, links):
+            proc.retract(pid)
+        assert "x" not in cached.instances_of("Mid")
+        assert "x" not in cached.instances_of("Top")
+        assert_same_answers(cached, uncached, ["Top", "Mid", "Leaf", "x"])
+
     def test_attribute_tell_preserves_isa_cache(self):
         """Fine granularity: a plain attribute create keeps the
         specialization closures warm (no invalidation, only hits)."""
@@ -122,6 +143,33 @@ class TestInvalidationEdges:
         assert "A" in proc.classes_of("x")
         assert proc.stats["closure_invalidations"] == invalidations
         assert proc.stats["closure_delta_applied"] > 0
+
+    def test_retract_one_of_two_classifications(self):
+        """``x`` is classified into ``A`` and into ``B ISA A``: losing
+        the ``B`` link takes it out of ``B``'s extents and keeps it in
+        ``A``'s; losing the ``A`` link too takes it out of ``A``'s."""
+        pair = make_pair()
+        links = []
+        for proc in pair:
+            proc.define_class("A")
+            proc.define_class("B", isa=["A"])
+            proc.tell_individual("x")
+            links.append({cls: proc.tell_instanceof("x", cls).pid
+                          for cls in ("A", "B")})
+        cached, uncached = pair
+        assert "x" in cached.instances_of("A")  # warm
+        assert "x" in cached.instances_of("B")
+        assert "x" in cached.instances_of("B", direct=True)
+        for proc, pids in zip(pair, links):
+            proc.retract(pids["B"])
+        assert "x" not in cached.instances_of("B")
+        assert "x" not in cached.instances_of("B", direct=True)
+        assert "x" in cached.instances_of("A")
+        assert_same_answers(cached, uncached, ["A", "B", "x"])
+        for proc, pids in zip(pair, links):
+            proc.retract(pids["A"])
+        assert "x" not in cached.instances_of("A")
+        assert_same_answers(cached, uncached, ["A", "B", "x"])
 
     def test_clip_validity_invalidates(self):
         proc = PropositionProcessor()
@@ -207,26 +255,27 @@ def test_randomized_tell_retract_equivalence(seed):
     classes = []
     individuals = []
     retractable = []
+    reclassified = []  # individuals told into a second class
 
     def new_class(proc, name, sups):
         proc.define_class(name, isa=sups)
 
-    for step in range(60):
+    for step in range(100):
         roll = rng.random()
-        if roll < 0.25 or not classes:
+        if roll < 0.20 or not classes:
             name = f"C{step}"
             sups = rng.sample(classes, k=min(len(classes), rng.randrange(3)))
             apply_to_both(pair, lambda p: new_class(p, name, list(sups)))
             classes.append(name)
-        elif roll < 0.45:
+        elif roll < 0.36:
             name = f"i{step}"
             cls = rng.choice(classes)
             apply_to_both(pair, lambda p: p.tell_individual(name, in_class=cls))
             individuals.append(name)
-        elif roll < 0.6 and len(classes) >= 2:
+        elif roll < 0.48 and len(classes) >= 2:
             sub, sup = rng.sample(classes, 2)
             apply_to_both(pair, lambda p: p.tell_isa(sub, sup))
-        elif roll < 0.75 and len(individuals) >= 2:
+        elif roll < 0.60 and len(individuals) >= 2:
             source, destination = rng.sample(individuals, 2)
             label = rng.choice(["likes", "knows", "owns"])
             pid = f"l{step}"
@@ -235,7 +284,7 @@ def test_randomized_tell_retract_equivalence(seed):
                 lambda p: p.tell_link(source, label, destination, pid=pid),
             )
             retractable.append(pid)
-        elif roll < 0.85 and retractable:
+        elif roll < 0.68 and retractable:
             victim = rng.choice(retractable)
             retractable.remove(victim)
 
@@ -245,12 +294,41 @@ def test_randomized_tell_retract_equivalence(seed):
                     assert all(r.pid not in KERNEL_PIDS for r in removed)
 
             apply_to_both(pair, retract)
-        elif roll < 0.93 and individuals:
+        elif roll < 0.74 and individuals:
             victim = rng.choice(individuals)
             individuals.remove(victim)
+            if victim in reclassified:
+                reclassified.remove(victim)
             apply_to_both(
                 pair, lambda p: p.retract(victim) if victim in p.store else None
             )
+        elif roll < 0.83 and individuals:
+            # classify an existing individual into a(nother) class
+            name = rng.choice(individuals)
+            cls = rng.choice(classes)
+            apply_to_both(pair, lambda p: p.tell_instanceof(name, cls))
+            reclassified.append(name)
+            assert_same_answers(pair[0], pair[1], [name, *classes])
+        elif roll < 0.92 and individuals:
+            # retract one classification link, preferring an individual
+            # that holds more than one
+            name = rng.choice(reclassified or individuals)
+            if name in reclassified:
+                reclassified.remove(name)
+            pick = rng.random()
+
+            def retract_classification(p):
+                found = sorted(
+                    (q.destination, q.pid)
+                    for q in p.store.retrieve(
+                        Pattern(source=name, label=INSTANCEOF))
+                    if q.is_link
+                )
+                if found:
+                    p.retract(found[int(pick * len(found))][1])
+
+            apply_to_both(pair, retract_classification)
+            assert_same_answers(pair[0], pair[1], [name, *classes])
         else:
             # telling rollback: created propositions must vanish again
             name = f"r{step}"
@@ -371,6 +449,9 @@ def test_attribute_class_walk_lists_each_class_once():
     assert walk == list(dict.fromkeys(per_class))
     assert walk == ["Beta.sender", "Delta.sender", "Epsilon.sender",
                     "Gamma.sender", "Attribute"]
+    senders = [prop.pid for prop in proc.attribute_classes_of(classes, "sender")]
+    assert senders == [pid for pid in walk if proc.get(pid).label == "sender"]
+    assert senders[0] == "Beta.sender"
 
 
 def test_told_link_classification_independent_of_hash_seed():

@@ -532,6 +532,22 @@ class TestObsCli:
         assert main(["diff", metrics, metrics]) == 0
         assert capsys.readouterr().out.strip() == ""
 
+    def test_smoke_twice_into_one_wal_dir(self, tmp_path, capsys):
+        """A second smoke on the same ``--wal-dir`` starts from an empty
+        base instead of recovering the first run's log."""
+        from repro.obs.__main__ import main
+
+        censuses = []
+        for run in range(2):
+            assert main(["smoke",
+                         "--trace-out", str(tmp_path / f"trace{run}.jsonl"),
+                         "--metrics-out", str(tmp_path / f"metrics{run}.json"),
+                         "--wal-dir", str(tmp_path)]) == 0
+            out = capsys.readouterr().out
+            censuses.append([line for line in out.splitlines()
+                             if line.endswith(" spans")])
+        assert censuses[0] and censuses[0] == censuses[1]
+
     def test_check_fails_on_missing_subsystem(self, tmp_path, capsys):
         from repro.obs.__main__ import main
 

@@ -168,8 +168,7 @@ class TestEpochRestore:
             )
 
         before = families()
-        epochs = (proc._isa_epoch, proc._instanceof_epoch,
-                  proc._attribute_epoch)
+        epochs = (proc._isa_epoch, proc._instanceof_epoch)
         invalidations = proc.stats["closure_invalidations"]
         with pytest.raises(RuntimeError):
             with proc.telling():
@@ -181,8 +180,7 @@ class TestEpochRestore:
         assert during != before
         assert families() == before
         assert proc.stats["closure_invalidations"] == invalidations
-        after = (proc._isa_epoch, proc._instanceof_epoch,
-                 proc._attribute_epoch)
+        after = (proc._isa_epoch, proc._instanceof_epoch)
         assert all(now >= then for now, then in zip(after, epochs))
 
     def test_rollback_does_not_leave_stale_closure_cache(self, proc):
